@@ -10,8 +10,8 @@ import argparse
 import random
 import sys
 
-from zfcantor.analysis import DigraphAnalysis, PREDICATE_ARITY
-from zfcantor.cantor import emit_expansions
+from zfcantor.analysis import DigraphAnalysis
+from zfcantor.cantor import PREDICATE_ARITIES, emit_expansions
 from zfcantor.census import digraph_from_counter
 from zfcantor.schemes import instantiate
 from zfcantor.semantics import evaluate
@@ -32,7 +32,7 @@ def main() -> int:
     names = [name.strip().upper() for name in args.predicates.split(",") if name.strip()]
     instantiated = {}
     for named in emit_expansions():
-        arity = PREDICATE_ARITY[named.name]
+        arity = PREDICATE_ARITIES[named.name]
         instantiated[named.name] = instantiate(
             named.formula, dict(zip(PARAMS[:arity], ARG_SLOTS[:arity]))
         )
@@ -41,7 +41,7 @@ def main() -> int:
     space = 2 ** (args.n * args.n)
     checked = 0
     for name in names:
-        arity = PREDICATE_ARITY[name]
+        arity = PREDICATE_ARITIES[name]
         for _ in range(args.samples):
             digraph = digraph_from_counter(args.n, rng.randrange(space))
             arguments = tuple(rng.randrange(1, args.n + 1) for _ in range(arity))

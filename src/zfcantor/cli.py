@@ -12,7 +12,7 @@ import sys
 
 from . import analysis
 from .cantor import emit_expansions, emit_phi
-from .census import GuardExceeded, census, format_row, non_cantor_digraphs
+from .census import GuardExceeded, census, digraph_from_counter, format_row
 from .digraphs import Digraph, DigraphError, dump_digraph, load_digraph
 from .formulas import (
     NEGATION,
@@ -153,12 +153,15 @@ def cmd_eval(args) -> int:
 
 def cmd_is_cantor(args) -> int:
     digraph = _load_digraph_arg(args)
-    value = analysis.is_cantor(digraph, method=args.method)
+    if args.method == "semantic":
+        witness = analysis.DigraphAnalysis(digraph).cantor_witness()
+        value = witness is None
+    else:
+        value = analysis.is_cantor(digraph, method=args.method)
+        witness = None if value else analysis.cantor_witness(digraph)
     print(f"is-cantor {'true' if value else 'false'}")
-    if not value:
-        witness = analysis.cantor_witness(digraph)
-        if witness is not None:
-            print(f"witness u={witness[0]} v={witness[1]}")
+    if witness is not None:
+        print(f"witness u={witness[0]} v={witness[1]}")
     return 0 if value else FALSE_VERDICT
 
 
@@ -189,12 +192,11 @@ def cmd_omega(args) -> int:
 
 
 def cmd_census(args) -> int:
-    row = census(args.n, jobs=args.jobs)
+    row = census(args.n, jobs=args.jobs, witnesses=args.list_witnesses)
     print(format_row(row))
-    if args.list_witnesses:
-        for counter, digraph in non_cantor_digraphs(args.n):
-            print(f"# digraph {counter}")
-            sys.stdout.write(dump_digraph(digraph))
+    for counter in row.non_cantor:
+        print(f"# digraph {counter}")
+        sys.stdout.write(dump_digraph(digraph_from_counter(args.n, counter)))
     return 0
 
 
@@ -271,10 +273,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return FALSE_VERDICT
-    except (analysis.AnalysisError, GuardExceeded) as exc:
+    except (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
+            analysis.AnalysisError, GuardExceeded) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return FALSE_VERDICT
 

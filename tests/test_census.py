@@ -1,24 +1,32 @@
+import multiprocessing
+import os
+import random
 from itertools import islice
 
 import pytest
 
-from naive import naive_census
-from zfcantor.analysis import is_strongly_extensive
+from naive import naive_census, naive_is_cantor, naive_is_strongly_extensive
+from zfcantor.analysis import DigraphAnalysis, is_strongly_extensive
+from zfcantor.cantor import emit_phi
 from zfcantor.census import (
     CensusRow,
     GuardExceeded,
+    _count_range,
     census,
     digraph_from_counter,
     enumerate_digraphs,
     format_row,
+    non_cantor_digraphs,
 )
 from zfcantor.digraphs import Digraph
+from zfcantor.semantics import evaluate_sentence
 
 # frozen regression constants, established once by the brute-force oracle
 FROZEN = {
     1: (2, 1, 1),
     2: (16, 5, 11),
     3: (512, 37, 388),
+    4: (65536, 513, 53499),
 }
 
 
@@ -61,6 +69,9 @@ class TestCensus:
         assert counts(census(2)) == FROZEN[2]
         assert counts(census(3)) == FROZEN[3]
 
+    def test_frozen_n4(self):
+        assert counts(census(4)) == FROZEN[4]
+
     def test_jobs_do_not_change_counts(self):
         assert counts(census(2, jobs=1)) == counts(census(2, jobs=3))
 
@@ -76,6 +87,8 @@ class TestCensus:
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             census(1, jobs=0)
+        with pytest.raises(GuardExceeded):
+            census(2, jobs=-3)
 
     def test_format_row(self):
         row = CensusRow(1, 2, 1, 1, 4.2)
@@ -96,3 +109,72 @@ class TestExamplesAreCounted:
     def test_small_examples_appear_in_the_enumeration(self):
         for d in self.examples[:2]:
             assert any(d.arrows == e.arrows and d.n == e.n for e in enumerate_digraphs(d.n))
+
+
+class StubPool:
+    """Records the requested worker count and refuses to start any worker."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        StubPool.sizes.append(processes)
+        raise RuntimeError("no worker processes in tests")
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def stub_pool(self, monkeypatch):
+        StubPool.sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+
+    def test_capped_by_cpu_count_and_total(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for n, jobs in ((2, 10**9), (1, 8), (2, 2)):
+            with pytest.raises(RuntimeError):
+                census(n, jobs=jobs)
+        assert StubPool.sizes == [3, 2, 2]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert counts(census(2, jobs=8)) == FROZEN[2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert counts(census(2, jobs=8)) == FROZEN[2]
+        assert StubPool.sizes == []
+
+
+def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
+    """(strongly extensive, Cantor) for one counter, through the census pass."""
+    strongly_extensive, cantor, _ = _count_range((n, counter, counter + 1, False))
+    return bool(strongly_extensive), bool(cantor)
+
+
+class TestKernelAgainstOracles:
+    def test_naive_oracle_on_sampled_counters(self):
+        rng = random.Random(20251017)
+        samples = [(4, rng.randrange(2**16)) for _ in range(200)]
+        samples += [(5, rng.randrange(2**25)) for _ in range(50)]
+        for n, counter in samples:
+            d = digraph_from_counter(n, counter)
+            expected = (naive_is_strongly_extensive(d), naive_is_cantor(d))
+            assert kernel_verdicts(n, counter) == expected, (n, counter)
+            assert (is_strongly_extensive(d), DigraphAnalysis(d).is_cantor()) == expected
+
+    def test_naive_oracle_on_sampled_non_cantor_counters(self):
+        non_cantor = census(4, witnesses=True).non_cantor
+        assert len(non_cantor) == FROZEN[4][0] - FROZEN[4][2]
+        for counter in random.Random(7).sample(non_cantor, 50):
+            assert not naive_is_cantor(digraph_from_counter(4, counter)), counter
+
+    def test_sentence_on_sampled_counters(self):
+        rng = random.Random(494)
+        phi = emit_phi()
+        for counter in (rng.randrange(2**16) for _ in range(30)):
+            digraph = digraph_from_counter(4, counter)
+            assert kernel_verdicts(4, counter)[1] == evaluate_sentence(digraph, phi, use_cache=True)
+
+    def test_witnesses_match_the_counting_pass(self):
+        row = census(3, witnesses=True)
+        listed = [counter for counter, _ in non_cantor_digraphs(3)]
+        assert list(row.non_cantor) == listed
+        assert len(listed) == row.total - row.cantor
+        assert census(3).non_cantor == ()

@@ -181,3 +181,47 @@ class TestErrors:
     def test_census_guard(self, run):
         code, _, err = run("census", "--n", "9")
         assert code == 1 and "invalid" in err
+
+
+LIST_WITNESSES_N2 = """\
+# digraph 7
+vertices 2
+1 1
+1 2
+2 1
+# digraph 9
+vertices 2
+1 1
+2 2
+# digraph 11
+vertices 2
+1 1
+1 2
+2 2
+# digraph 13
+vertices 2
+1 1
+2 1
+2 2
+# digraph 14
+vertices 2
+1 2
+2 1
+2 2
+"""
+
+
+class TestCensusVerb:
+    def test_list_witnesses_output(self, run):
+        code, out, _ = run("census", "--n", "2", "--list-witnesses")
+        assert code == 0
+        first, rest = out.split("\n", 1)
+        assert first.split("\t")[:4] == ["2", "16", "5", "11"]
+        assert rest == LIST_WITNESSES_N2
+
+    def test_bad_jobs_is_invalid(self, run):
+        code, out, err = run("census", "--n", "2", "--jobs", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid: jobs must be >= 1")
+        assert "Traceback" not in err
