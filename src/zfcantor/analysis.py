@@ -24,16 +24,17 @@ from weakref import WeakValueDictionary
 
 from .cantor import PREDICATE_ARITIES, emit_phi
 from .digraphs import Digraph
+from .formulas import ArityMismatch
 from .semantics import evaluate_sentence
 
 PREDICATE_ARITY = PREDICATE_ARITIES  # the former name
 
+# Most vertices the phi method of is_cantor accepts: on random digraphs the
+# sentence took up to 1.6 s at 12 vertices, 7.6 s at 16 and 48 s at 24.
+PHI_MAX_VERTICES = 12
+
 
 class AnalysisError(ValueError):
-    pass
-
-
-class ArityMismatch(AnalysisError):
     pass
 
 
@@ -289,7 +290,8 @@ class DigraphAnalysis:
         except KeyError:
             raise AnalysisError(f"unknown predicate {name!r}") from None
         if len(args) != arity:
-            raise ArityMismatch(f"{name} takes {arity} arguments, got {len(args)}")
+            # position 1: the predicate name's place in `NAME ( args )`
+            raise ArityMismatch(1, f"{name} takes {arity} arguments, got {len(args)}")
         for a in args:
             self.digraph.check_vertex(a)
         return getattr(self, name.lower())(*args)
@@ -352,12 +354,18 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
 
     The semantic method scans all vertex pairs with the predicate
     implementation; the sentence method evaluates the 494-symbol Cantor
-    sentence.  The two agree on every digraph.
+    sentence and rejects digraphs above PHI_MAX_VERTICES vertices with
+    SizeGuardExceeded.  The two agree on every digraph.
     """
     if method == "semantic":
         return DigraphAnalysis(digraph).is_cantor()
     if method == "phi":
-        return evaluate_sentence(digraph, emit_phi(), use_cache=True)
+        if digraph.n > PHI_MAX_VERTICES:
+            raise SizeGuardExceeded(
+                f"{digraph.n} vertices exceed the guard {PHI_MAX_VERTICES} of the phi method;"
+                " use the semantic method"
+            )
+        return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 
 

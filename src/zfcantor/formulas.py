@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .symbols import (
     BICONDITIONAL,
@@ -70,6 +70,10 @@ class UnknownPredicate(ParseError):
 
 
 class ArityMismatch(ParseError):
+    pass
+
+
+class NestingTooDeep(ParseError):
     pass
 
 
@@ -131,86 +135,121 @@ def count(word: Word, symbol: Symbol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parse trees
+# Parse trees: ten node classes in five shapes.  A shape fixes the fields
+# and the immediate subformulas; a class adds its case label and symbol.
 
 
 @dataclass(frozen=True)
 class Formula:
-    """Base node; span is the 1-based inclusive interval in the source word."""
+    """Base node; span is the 1-based inclusive interval in the source word.
+
+    ``label`` names the grammar case of the node, ``symbol`` is the fixed
+    symbol that spells it (predicate atoms have none), and ``children``
+    are its immediate subformulas.
+    """
 
     span: tuple[int, int]
+    label: ClassVar[str]
+    symbol: ClassVar[Symbol]
+    children: ClassVar[tuple[Formula, ...]] = ()
 
     def __len__(self) -> int:
         return self.span[1] - self.span[0] + 1
 
 
 @dataclass(frozen=True)
-class Membership(Formula):
+class RelationAtom(Formula):
+    """``( left SYMBOL right )`` over two variables."""
+
+    label = "atomic"
     left: Symbol
     right: Symbol
 
 
-@dataclass(frozen=True)
-class Equality(Formula):
-    left: Symbol
-    right: Symbol
+class Membership(RelationAtom):
+    symbol = MEMBERSHIP
+
+
+class Equality(RelationAtom):
+    symbol = EQUALITY
 
 
 @dataclass(frozen=True)
 class PredicateAtom(Formula):
+    label = "atomic"
     name: str
     args: tuple[Symbol, ...]
 
 
 @dataclass(frozen=True)
 class Not(Formula):
+    label, symbol = "negation", NEGATION
     child: Formula
 
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.child,)
+
 
 @dataclass(frozen=True)
-class Implies(Formula):
+class Connective(Formula):
+    """``( left SYMBOL right )`` over two formulas."""
+
     left: Formula
     right: Formula
 
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
+
+
+class Implies(Connective):
+    label, symbol = "implication", IMPLICATION
+
+
+class Iff(Connective):
+    label, symbol = "biconditional", BICONDITIONAL
+
+
+class And(Connective):
+    label, symbol = "conjunction", CONJUNCTION
+
+
+class Or(Connective):
+    label, symbol = "disjunction", DISJUNCTION
+
 
 @dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Quantifier(Formula):
+    """``( SYMBOL var child )``, binding the set variable var."""
 
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
     var: Symbol
     child: Formula
 
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: Symbol
-    child: Formula
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.child,)
 
 
-_BINARY_NODE = {
-    SymbolKind.IMPLICATION: Implies,
-    SymbolKind.BICONDITIONAL: Iff,
-    SymbolKind.CONJUNCTION: And,
-    SymbolKind.DISJUNCTION: Or,
-}
+class Exists(Quantifier):
+    label, symbol = "existential", EXISTS
 
-_BINARY_SYMBOL = {Implies: IMPLICATION, Iff: BICONDITIONAL, And: CONJUNCTION, Or: DISJUNCTION}
+
+class Forall(Quantifier):
+    label, symbol = "universal", FORALL
+
+
+_RELATIONS = {cls.symbol.kind: cls for cls in (Membership, Equality)}
+_CONNECTIVES = {cls.symbol.kind: cls for cls in (Implies, Iff, And, Or)}
+_QUANTIFIERS = {cls.symbol.kind: cls for cls in (Exists, Forall)}
+
+NODE_CLASSES = (Membership, Equality, PredicateAtom, Not, Implies, Iff, And, Or, Exists, Forall)
+CASE_LABELS = tuple(dict.fromkeys(cls.label for cls in NODE_CLASSES))
+
+# Most compound formulas around an atom that parse accepts (the Cantor
+# sentence has 21).  Parse recurses twice per level, render and evaluate
+# once, so this stays well inside Python's default recursion limit.
+MAX_DEPTH = 200
 
 
 def _normalize_signatures(signatures) -> dict[str, int]:
@@ -242,50 +281,51 @@ class _Parser:
             raise NotAFormula(pos, f"expected a variable, found {sym.token!r}")
         return sym
 
-    def parse(self, pos: int) -> tuple[Formula, int]:
+    def parse(self, pos: int, depth: int = 0) -> tuple[Formula, int]:
+        if depth > MAX_DEPTH:
+            raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
         sym = self.at(pos)
         if sym.kind is SymbolKind.NEGATION:
-            child, nxt = self.parse(pos + 1)
+            child, nxt = self.parse(pos + 1, depth + 1)
             return Not((pos, nxt - 1), child), nxt
         if sym.kind is SymbolKind.PREDICATE:
             return self.parse_predicate_atom(pos)
         if sym.kind is SymbolKind.LPAREN:
             head = self.at(pos + 1)
-            if head.kind in (SymbolKind.EXISTS, SymbolKind.FORALL):
-                return self.parse_quantified(pos, head)
+            if head.kind in _QUANTIFIERS:
+                return self.parse_quantified(pos, _QUANTIFIERS[head.kind], depth)
             if head.is_variable:
                 return self.parse_atom(pos)
-            return self.parse_binary(pos)
+            return self.parse_binary(pos, depth)
         raise NotAFormula(pos, f"a formula cannot start with {sym.token!r}")
 
     def parse_atom(self, pos: int) -> tuple[Formula, int]:
         left = self.expect_variable(pos + 1)
         op = self.at(pos + 2)
-        if op.kind not in (SymbolKind.MEMBERSHIP, SymbolKind.EQUALITY):
+        node = _RELATIONS.get(op.kind)
+        if node is None:
             raise NotAFormula(pos + 2, f"expected 'in' or '=', found {op.token!r}")
         right = self.expect_variable(pos + 3)
         self.expect(pos + 4, RPAREN)
-        node = Membership if op.kind is SymbolKind.MEMBERSHIP else Equality
         return node((pos, pos + 4), left, right), pos + 5
 
-    def parse_quantified(self, pos: int, head: Symbol) -> tuple[Formula, int]:
+    def parse_quantified(self, pos: int, node: type[Formula], depth: int) -> tuple[Formula, int]:
         var = self.at(pos + 2)
         if var.kind is SymbolKind.NEW_VAR:
             raise NotAFormula(pos + 2, f"new variable {var.token!r} cannot be quantified")
         if var.kind is not SymbolKind.SET_VAR:
             raise NotAFormula(pos + 2, f"expected a set variable, found {var.token!r}")
-        child, nxt = self.parse(pos + 3)
+        child, nxt = self.parse(pos + 3, depth + 1)
         self.expect(nxt, RPAREN)
-        node = Exists if head.kind is SymbolKind.EXISTS else Forall
         return node((pos, nxt), var, child), nxt + 1
 
-    def parse_binary(self, pos: int) -> tuple[Formula, int]:
-        left, mid = self.parse(pos + 1)
+    def parse_binary(self, pos: int, depth: int) -> tuple[Formula, int]:
+        left, mid = self.parse(pos + 1, depth + 1)
         op = self.at(mid)
-        node = _BINARY_NODE.get(op.kind)
+        node = _CONNECTIVES.get(op.kind)
         if node is None:
             raise NotAFormula(mid, f"expected a binary connective, found {op.token!r}")
-        right, nxt = self.parse(mid + 1)
+        right, nxt = self.parse(mid + 1, depth + 1)
         self.expect(nxt, RPAREN)
         return node((pos, nxt), left, right), nxt + 1
 
@@ -311,7 +351,8 @@ def parse(word: Word, signatures: Iterable[PredicateSignature] | Mapping[str, in
 
     ``signatures`` registers the predicate names admitted in atoms; with
     none registered, exactly the predicate-free formulas are accepted.
-    Raises NotAFormula, UnknownPredicate, or ArityMismatch otherwise.
+    Raises NotAFormula, UnknownPredicate, or ArityMismatch otherwise, and
+    NestingTooDeep when compound formulas nest more than MAX_DEPTH levels.
     """
     if not word:
         raise NotAFormula(1, "the empty word is not a formula")
@@ -328,67 +369,29 @@ def parse_text(text: str, signatures=None) -> Formula:
 
 def render(tree: Formula) -> Word:
     """Spell a tree back into the word it was parsed from."""
-    if isinstance(tree, Membership):
-        return (LPAREN, tree.left, MEMBERSHIP, tree.right, RPAREN)
-    if isinstance(tree, Equality):
-        return (LPAREN, tree.left, EQUALITY, tree.right, RPAREN)
+    if isinstance(tree, RelationAtom):
+        return (LPAREN, tree.left, tree.symbol, tree.right, RPAREN)
     if isinstance(tree, PredicateAtom):
-        inner: list[Symbol] = []
-        for i, arg in enumerate(tree.args):
-            if i:
-                inner.append(SEMICOLON)
-            inner.append(arg)
+        inner = [sym for arg in tree.args for sym in (SEMICOLON, arg)][1:]
         return (predicate(tree.name), LPAREN, *inner, RPAREN)
     if isinstance(tree, Not):
         return (NEGATION,) + render(tree.child)
-    if isinstance(tree, (Implies, Iff, And, Or)):
-        op = _BINARY_SYMBOL[type(tree)]
-        return (LPAREN,) + render(tree.left) + (op,) + render(tree.right) + (RPAREN,)
-    if isinstance(tree, Exists):
-        return (LPAREN, EXISTS, tree.var) + render(tree.child) + (RPAREN,)
-    if isinstance(tree, Forall):
-        return (LPAREN, FORALL, tree.var) + render(tree.child) + (RPAREN,)
+    if isinstance(tree, Connective):
+        return (LPAREN,) + render(tree.left) + (tree.symbol,) + render(tree.right) + (RPAREN,)
+    if isinstance(tree, Quantifier):
+        return (LPAREN, tree.symbol, tree.var) + render(tree.child) + (RPAREN,)
     raise TypeError(f"not a formula node: {tree!r}")
-
-
-CASE_LABELS = (
-    "atomic",
-    "negation",
-    "implication",
-    "biconditional",
-    "conjunction",
-    "disjunction",
-    "existential",
-    "universal",
-)
 
 
 def classify(tree: Formula) -> tuple[str, tuple[Formula, ...], Symbol | None]:
     """Top-level case of a formula: (label, immediate subformulas, bound variable)."""
-    if isinstance(tree, (Membership, Equality, PredicateAtom)):
-        return "atomic", (), None
-    if isinstance(tree, Not):
-        return "negation", (tree.child,), None
-    if isinstance(tree, Implies):
-        return "implication", (tree.left, tree.right), None
-    if isinstance(tree, Iff):
-        return "biconditional", (tree.left, tree.right), None
-    if isinstance(tree, And):
-        return "conjunction", (tree.left, tree.right), None
-    if isinstance(tree, Or):
-        return "disjunction", (tree.left, tree.right), None
-    if isinstance(tree, Exists):
-        return "existential", (tree.child,), tree.var
-    if isinstance(tree, Forall):
-        return "universal", (tree.child,), tree.var
-    raise TypeError(f"not a formula node: {tree!r}")
+    return tree.label, tree.children, getattr(tree, "var", None)
 
 
 def subformulas(tree: Formula) -> Iterator[Formula]:
     """All subformula nodes in pre-order, the tree itself first."""
     yield tree
-    _, children, _ = classify(tree)
-    for child in children:
+    for child in tree.children:
         yield from subformulas(child)
 
 
@@ -426,23 +429,19 @@ def occurrences(tree: Formula) -> list[Occurrence]:
 
     def walk(node: Formula, scope: frozenset[Symbol]) -> None:
         l = node.span[0]
-        if isinstance(node, (Membership, Equality)):
+        if isinstance(node, RelationAtom):
             emit(node.left, l + 1, scope)
             emit(node.right, l + 3, scope)
         elif isinstance(node, PredicateAtom):
             for i, arg in enumerate(node.args, start=1):
                 emit(arg, l + 2 * i, scope)
-        elif isinstance(node, Not):
-            walk(node.child, scope)
-        elif isinstance(node, (Implies, Iff, And, Or)):
-            walk(node.left, scope)
-            walk(node.right, scope)
-        elif isinstance(node, (Exists, Forall)):
+        elif isinstance(node, Quantifier):
             inner = scope | {node.var}
             emit(node.var, l + 2, inner)
             walk(node.child, inner)
         else:
-            raise TypeError(f"not a formula node: {node!r}")
+            for child in node.children:
+                walk(child, scope)
 
     walk(tree, frozenset())
     out.sort(key=lambda occ: occ.position)

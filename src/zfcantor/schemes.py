@@ -13,12 +13,11 @@ with formal parameters renamed to the actual arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulas import (
-    Exists,
-    Forall,
     Formula,
+    Quantifier,
     Word,
     free_variables,
     occurrences,
@@ -87,20 +86,19 @@ class Shortcut:
         return PredicateSignature(self.name, self.arity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scheme:
     """A validated scheme with its reference and variable-index metadata.
 
     ``r_sets[i]`` holds the 1-based indices of the predicates referenced
     by shortcut i+1; ``v_sets[i]`` holds the indices of the set
-    variables appearing in its body.  Treated as immutable once built.
+    variables appearing in its body.
     """
 
     shortcuts: tuple[Shortcut, ...]
     r_sets: tuple[frozenset[int], ...]
     v_sets: tuple[frozenset[int], ...]
     mode: str = "strict"
-    _expansions: tuple[Formula, ...] | None = field(default=None, repr=False, compare=False)
 
     def index_of(self, name: str) -> int:
         for i, sc in enumerate(self.shortcuts, start=1):
@@ -136,7 +134,7 @@ def _set_var_indices(body: Formula) -> frozenset[int]:
 
 def _binder_indices(body: Formula) -> frozenset[int]:
     return frozenset(
-        node.var.index for node in subformulas(body) if isinstance(node, (Exists, Forall))
+        node.var.index for node in subformulas(body) if isinstance(node, Quantifier)
     )
 
 
@@ -213,29 +211,26 @@ def expand(scheme: Scheme) -> list[Formula]:
 
     The first body is its own expansion.  Each later body has every
     predicate atom replaced, in place, by the referenced expansion with
-    its parameters renamed to the atom's arguments.  Results are cached
-    on the scheme.
+    its parameters renamed to the atom's arguments.
     """
-    if scheme._expansions is None:
-        sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
-        words: list[Word] = []
-        for sc in scheme.shortcuts:
-            body_word = render(sc.body)
-            body_tree = parse(body_word, sigs)
-            host_binders = _binder_indices(body_tree)
-            patches = []
-            for atom in predicate_atoms(body_tree):
-                k = scheme.index_of(atom.name)
-                source = scheme.shortcuts[k - 1]
-                inserted = sub1(words[k - 1], dict(zip(source.params, atom.args)))
-                _check_substitutable(sc.name, inserted, host_binders, atom.args)
-                patches.append((inserted, atom.span[0], atom.span[1]))
-            word = sub2(body_word, patches) if patches else body_word
-            if any(sym.kind is SymbolKind.PREDICATE for sym in word):
-                raise SubstitutabilityViolation(f"{sc.name}: expansion still contains a predicate")
-            words.append(word)
-        scheme._expansions = tuple(parse(w) for w in words)
-    return list(scheme._expansions)
+    sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
+    words: list[Word] = []
+    for sc in scheme.shortcuts:
+        body_word = render(sc.body)
+        body_tree = parse(body_word, sigs)
+        host_binders = _binder_indices(body_tree)
+        patches = []
+        for atom in predicate_atoms(body_tree):
+            k = scheme.index_of(atom.name)
+            source = scheme.shortcuts[k - 1]
+            inserted = sub1(words[k - 1], dict(zip(source.params, atom.args)))
+            _check_substitutable(sc.name, inserted, host_binders, atom.args)
+            patches.append((inserted, atom.span[0], atom.span[1]))
+        word = sub2(body_word, patches) if patches else body_word
+        if any(sym.kind is SymbolKind.PREDICATE for sym in word):
+            raise SubstitutabilityViolation(f"{sc.name}: expansion still contains a predicate")
+        words.append(word)
+    return [parse(w) for w in words]
 
 
 def _check_substitutable(name, inserted: Word, host_binders, args) -> None:

@@ -3,13 +3,14 @@
 Membership atoms are read along arrows, equality atoms as vertex
 identity, connectives classically, and quantifiers range over all
 vertices.  An environment binds variables to vertices and must cover
-every free variable of the formula; looking up an unbound variable is
-an error, never a silent default.
+every free variable of the formula; an unbound variable is an error,
+never a silent default.  Predicate atoms must be expanded first.
 
-Quantifier evaluation short-circuits.  An optional per-call cache keys
-subformula values by the bindings of their free variables, which keeps
-census-scale evaluation of the Cantor sentence cheap; the cache never
-outlives the call.
+Connectives and quantifiers short-circuit.  A per-call memo keys the
+value of every compound subformula by the vertices bound to its free
+variables, which keeps evaluation of the Cantor sentence cheap; it is
+always on and never outlives the call.  The ``use_cache`` keyword is
+still accepted and ignored.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from .digraphs import Digraph
 from .formulas import (
     And,
     Equality,
-    Exists,
-    Forall,
     Formula,
     Iff,
     Implies,
@@ -28,10 +27,11 @@ from .formulas import (
     Not,
     Or,
     PredicateAtom,
-    free_variables,
+    Quantifier,
+    RelationAtom,
     is_sentence,
 )
-from .symbols import Symbol
+from .symbols import EXISTS, Symbol
 
 
 class SemanticsError(ValueError):
@@ -50,7 +50,22 @@ class NotASentence(SemanticsError):
     pass
 
 
-_MISSING = object()
+def _free_variables_by_node(tree: Formula) -> tuple[frozenset[Symbol], dict[int, tuple[Symbol, ...]]]:
+    """The free variables of the tree, and of each compound subformula by node id."""
+    by_node: dict[int, tuple[Symbol, ...]] = {}
+
+    def walk(node: Formula) -> frozenset[Symbol]:
+        if isinstance(node, RelationAtom):
+            return frozenset((node.left, node.right))
+        if isinstance(node, PredicateAtom):
+            raise PredicateNotExpanded(f"predicate atom {node.name} cannot be evaluated")
+        free = frozenset().union(*map(walk, node.children))
+        if isinstance(node, Quantifier):
+            free -= {node.var}
+        by_node[id(node)] = tuple(free)
+        return free
+
+    return walk(tree), by_node
 
 
 def evaluate(
@@ -58,78 +73,60 @@ def evaluate(
     tree: Formula,
     env: Mapping[Symbol, int] | None = None,
     *,
-    use_cache: bool = False,
+    use_cache: bool = True,
 ) -> bool:
-    """Decide whether the digraph satisfies the formula under env."""
+    """Decide whether the digraph satisfies the formula under env; use_cache is ignored."""
     bindings: dict[Symbol, int] = dict(env or {})
+    free, free_of = _free_variables_by_node(tree)
+    unbound = free - bindings.keys()
+    if unbound:
+        names = ", ".join(sorted(sym.token for sym in unbound))
+        raise UnboundVariable(f"variable {names} is not bound")
     arrows = digraph.arrows
     vertices = digraph.vertices
-
-    free_of: dict[int, tuple[Symbol, ...]] = {}
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def free_key(node: Formula) -> tuple[Symbol, ...]:
-        key = id(node)
-        if key not in free_of:
-            free_of[key] = tuple(sorted(free_variables(node), key=lambda s: s.token))
-        return free_of[key]
-
-    def lookup(sym: Symbol) -> int:
-        try:
-            return bindings[sym]
-        except KeyError:
-            raise UnboundVariable(f"variable {sym.token} is not bound") from None
+    memo: dict[tuple[int, ...], bool] = {}
 
     def ev(node: Formula) -> bool:
         if isinstance(node, Membership):
-            return (lookup(node.left), lookup(node.right)) in arrows
+            return (bindings[node.left], bindings[node.right]) in arrows
         if isinstance(node, Equality):
-            return lookup(node.left) == lookup(node.right)
-        if isinstance(node, PredicateAtom):
-            raise PredicateNotExpanded(f"predicate atom {node.name} cannot be evaluated")
-        if use_cache:
-            key = (id(node), tuple(lookup(v) for v in free_key(node)))
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            value = ev_composite(node)
-            memo[key] = value
+            return bindings[node.left] == bindings[node.right]
+        key = (id(node), *[bindings[v] for v in free_of[id(node)]])
+        value = memo.get(key)
+        if value is not None:
             return value
-        return ev_composite(node)
-
-    def ev_composite(node: Formula) -> bool:
-        if isinstance(node, Not):
-            return not ev(node.child)
-        if isinstance(node, Implies):
-            return not ev(node.left) or ev(node.right)
-        if isinstance(node, Iff):
-            return ev(node.left) == ev(node.right)
-        if isinstance(node, And):
-            return ev(node.left) and ev(node.right)
-        if isinstance(node, Or):
-            return ev(node.left) or ev(node.right)
-        if isinstance(node, (Exists, Forall)):
-            witness = isinstance(node, Exists)
+        if isinstance(node, Quantifier):
+            witness = node.symbol is EXISTS
             var = node.var
-            saved = bindings.get(var, _MISSING)
-            try:
-                for vertex in vertices:
-                    bindings[var] = vertex
-                    if ev(node.child) == witness:
-                        return witness
-                return not witness
-            finally:
-                if saved is _MISSING:
-                    bindings.pop(var, None)
-                else:
-                    bindings[var] = saved
-        raise TypeError(f"not a formula node: {node!r}")
+            saved = bindings.get(var)
+            value = not witness
+            for vertex in vertices:
+                bindings[var] = vertex
+                if ev(node.child) == witness:
+                    value = witness
+                    break
+            # restore an outer binding; after the up-front check a None is never read
+            bindings[var] = saved
+        elif isinstance(node, Not):
+            value = not ev(node.child)
+        elif isinstance(node, Implies):
+            value = not ev(node.left) or ev(node.right)
+        elif isinstance(node, Iff):
+            value = ev(node.left) == ev(node.right)
+        elif isinstance(node, And):
+            value = ev(node.left) and ev(node.right)
+        elif isinstance(node, Or):
+            value = ev(node.left) or ev(node.right)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        memo[key] = value
+        return value
 
     return ev(tree)
 
 
-def evaluate_sentence(digraph: Digraph, tree: Formula, *, use_cache: bool = False) -> bool:
+def evaluate_sentence(digraph: Digraph, tree: Formula, *, use_cache: bool = True) -> bool:
     """Evaluate a sentence; its value does not depend on any environment."""
     if not is_sentence(tree):
         raise NotASentence("the formula has a free variable occurrence")
-    return evaluate(digraph, tree, {}, use_cache=use_cache)
+    return evaluate(digraph, tree, {})

@@ -1,15 +1,40 @@
-"""Independent brute-force oracle for the digraph predicates.
+"""Independent brute-force oracles for the digraph predicates and satisfaction.
 
 Deliberately written as literal quantifier loops over the definitions,
-sharing only the Digraph data type with the package.  Used to compute
-expected values that the tests then freeze, and to cross-check the
-table-driven implementation on small digraphs.
+sharing only the Digraph data type and the parse-tree classes with the
+package.  Used to compute expected values that the tests then freeze,
+and to cross-check the table-driven implementation and the memoised
+evaluator on small digraphs.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 from zfcantor.digraphs import Digraph
+from zfcantor.formulas import And, Equality, Exists, Forall, Iff, Implies, Membership, Not, Or
+
+
+def naive_evaluate(d: Digraph, tree, env) -> bool:
+    """Satisfaction by plain recursion over the tree, with no memo."""
+    if isinstance(tree, Membership):
+        return (env[tree.left], env[tree.right]) in d.arrows
+    if isinstance(tree, Equality):
+        return env[tree.left] == env[tree.right]
+    if isinstance(tree, Not):
+        return not naive_evaluate(d, tree.child, env)
+    if isinstance(tree, Implies):
+        return not naive_evaluate(d, tree.left, env) or naive_evaluate(d, tree.right, env)
+    if isinstance(tree, Iff):
+        return naive_evaluate(d, tree.left, env) == naive_evaluate(d, tree.right, env)
+    if isinstance(tree, And):
+        return naive_evaluate(d, tree.left, env) and naive_evaluate(d, tree.right, env)
+    if isinstance(tree, Or):
+        return naive_evaluate(d, tree.left, env) or naive_evaluate(d, tree.right, env)
+    if isinstance(tree, Exists):
+        return any(naive_evaluate(d, tree.child, {**env, tree.var: v}) for v in d.vertices)
+    if isinstance(tree, Forall):
+        return all(naive_evaluate(d, tree.child, {**env, tree.var: v}) for v in d.vertices)
+    raise TypeError(f"not an evaluable node: {tree!r}")
 
 
 def nbhd(d: Digraph, u: int) -> frozenset[int]:

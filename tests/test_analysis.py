@@ -3,12 +3,14 @@ from itertools import product
 import pytest
 
 from naive import naive_is_cantor, naive_is_strongly_extensive, naive_predicate
+from zfcantor import formulas
 from zfcantor.analysis import (
     AnalysisError,
     ArityMismatch,
     DigraphAnalysis,
     InDegreeTooLarge,
     NotASurjection,
+    PHI_MAX_VERTICES,
     PREDICATE_ARITY,
     SizeGuardExceeded,
     cantor_witness,
@@ -75,6 +77,11 @@ class TestSemanticPredicates:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             semantic_predicate(edgeless(1), "SUS", (1, 1, 1))
+
+    def test_arity_mismatch_is_the_parser_error(self):
+        assert ArityMismatch is formulas.ArityMismatch
+        with pytest.raises(formulas.ParseError, match="position 1: SUS takes 2 arguments, got 1"):
+            semantic_predicate(edgeless(1), "SUS", (1,))
 
     def test_unknown_name(self):
         with pytest.raises(AnalysisError):
@@ -144,6 +151,13 @@ class TestIsCantor:
     def test_bad_method_name(self):
         with pytest.raises(ValueError):
             is_cantor(edgeless(1), "magic")
+
+    def test_phi_method_size_guard(self):
+        assert is_cantor(edgeless(PHI_MAX_VERTICES), "phi") is True
+        big = edgeless(PHI_MAX_VERTICES + 1)
+        with pytest.raises(SizeGuardExceeded, match="phi method"):
+            is_cantor(big, "phi")
+        assert is_cantor(big, "semantic") is True
 
     def test_matches_naive_oracle_at_n2(self):
         for counter in range(16):

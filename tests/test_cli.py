@@ -1,6 +1,10 @@
 import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zfcantor.analysis import omega_prefix
 from zfcantor.cantor import SENTENCE_LENGTH
@@ -12,6 +16,8 @@ from zfcantor.symbols import set_var
 
 LOOPS2 = "vertices 2\n1 1\n2 2\n"
 CHAIN2 = "vertices 2\n1 2\n"
+DEEP_NEGATIONS = "! " * 3000 + "( x1 = x1 )"
+DEEP_QUANTIFIERS = "( E x1 " * 1500 + "( x1 = x1 )" + " )" * 1500
 
 
 @pytest.fixture
@@ -225,3 +231,40 @@ class TestCensusVerb:
         assert out == ""
         assert err.startswith("invalid: jobs must be >= 1")
         assert "Traceback" not in err
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("text", [DEEP_NEGATIONS, DEEP_QUANTIFIERS], ids=["negations", "quantifiers"])
+    def test_deep_nesting_is_invalid(self, run, text):
+        code, out, err = run("parse", stdin=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: position ") and "nest deeper than" in err
+
+    def test_phi_method_rejects_large_digraphs(self, run, digraph_file):
+        path = digraph_file("vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001)))
+        code, out, err = run("is-cantor", "--digraph", path, "--method", "phi")
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: 3000 vertices exceed the guard")
+
+
+FUZZ_TOKENS = ["(", ")", ";", "!", "->", "<->", "&", "|", "in", "=", "E", "A",
+               "x1", "x2", "x3", "x0", "?x", "SUS", "#", "@"]
+
+
+@pytest.fixture(scope="module")
+def chain2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "chain2.dg"
+    path.write_text(CHAIN2)
+    return str(path)
+
+
+@given(text=st.one_of(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30).map(" ".join), st.text(max_size=30)))
+@example(text=DEEP_NEGATIONS)
+@example(text=DEEP_QUANTIFIERS)
+def test_formula_verbs_exit_with_a_status_on_any_text(chain2_file, text):
+    for argv in (["parse"], ["classify"], ["eval", "--digraph", chain2_file, "--assign", "x1=1,x2=2"]):
+        err = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue()

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given
 
 from strategies import formula_text
+from zfcantor.digraphs import all_loops
 from zfcantor.formulas import (
     Equality,
     Membership,
     Not,
     NotAFormula,
     ArityMismatch,
+    MAX_DEPTH,
     MalformedVariable,
+    NestingTooDeep,
     Occurrence,
     PredicateAtom,
     UnknownPredicate,
@@ -29,6 +32,7 @@ from zfcantor.formulas import (
     tokenize,
     word_diff,
 )
+from zfcantor.semantics import evaluate
 from zfcantor.symbols import (
     LPAREN,
     MEMBERSHIP,
@@ -128,6 +132,23 @@ class TestParse:
     def test_quantifier_needs_set_variable(self):
         with pytest.raises(NotAFormula):
             parse(tokenize("( A in ( x1 = x1 ) )"))
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: "! " * k + "( x1 = x1 )",
+            lambda k: "( E x1 " * k + "( x1 = x1 )" + " )" * k,
+            lambda k: "( ( x1 = x1 ) & " * k + "( x1 = x1 )" + " )" * k,
+        ],
+        ids=["negations", "quantifiers", "conjunctions"],
+    )
+    def test_nesting_depth_guard(self, nest):
+        word = tokenize(nest(MAX_DEPTH))
+        tree = parse(word)
+        assert render(tree) == word
+        assert evaluate(all_loops(2), tree, {set_var(1): 1}) is True
+        with pytest.raises(NestingTooDeep, match=f"deeper than {MAX_DEPTH}"):
+            parse(tokenize(nest(MAX_DEPTH + 1)))
 
 
 class TestClassify:

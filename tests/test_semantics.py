@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from naive import naive_evaluate
 from strategies import digraphs, formula_text, sentence_text
 from zfcantor.cantor import emit_phi
 from zfcantor.digraphs import Digraph, all_loops, edgeless
@@ -47,6 +48,8 @@ class TestEvaluate:
     def test_unbound_variable_is_an_error(self):
         with pytest.raises(UnboundVariable):
             evaluate(edgeless(1), parse_text("( x1 in x2 )"), {X1: 1})
+        with pytest.raises(UnboundVariable, match="x2"):  # even where short-circuiting skips it
+            evaluate(edgeless(1), parse_text("( ( x1 = x1 ) | ( x2 = x2 ) )"), {X1: 1})
 
     def test_new_variables_evaluate_from_environment(self):
         d = Digraph(2, frozenset({(1, 2)}))
@@ -55,6 +58,9 @@ class TestEvaluate:
 
     def test_predicate_atom_is_rejected(self):
         tree = parse_text("SUS ( ?x ; ?y )", [PredicateSignature("SUS", 2)])
+        with pytest.raises(PredicateNotExpanded):
+            evaluate(edgeless(1), tree, {new_var("x"): 1, new_var("y"): 1})
+        tree = parse_text("( ( ?x = ?x ) | SUS ( ?x ; ?y ) )", [PredicateSignature("SUS", 2)])
         with pytest.raises(PredicateNotExpanded):
             evaluate(edgeless(1), tree, {new_var("x"): 1, new_var("y"): 1})
 
@@ -95,7 +101,10 @@ def test_quantifier_duality(d, text, index):
 
 
 @given(digraphs(), formula_text(max_leaves=6))
+@example(Digraph(2, frozenset({(1, 1)})), "( E x1 ! ( x1 in x1 ) )")  # memo keyed by x1's vertex
 def test_cache_does_not_change_values(d, text):
     tree = parse_text(text)
     env = {set_var(i): 1 for i in range(1, 6)}
-    assert evaluate(d, tree, env) == evaluate(d, tree, env, use_cache=True)
+    expected = naive_evaluate(d, tree, env)
+    assert evaluate(d, tree, env) == expected
+    assert evaluate(d, tree, env, use_cache=False) == expected  # the keyword is ignored
