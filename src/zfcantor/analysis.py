@@ -10,8 +10,9 @@ itself.
 
 All checks run on one bitmask kernel.  A digraph on [n] is the sequence
 of its in-neighborhood masks: bit u-1 of ``masks[v-1]`` is set when
-u -> v.  Vertices are looked up by their mask, so the ordered-pair
-resolution table takes O(n^2) lookups; a pair vertex determines its two
+u -> v.  Vertices are looked up by their mask.  The ordered-pair table
+reads the realized masks of one or two bits, the only ones that can be
+doubletons, so it takes O(n) lookups; a pair vertex determines its two
 components uniquely, so the table is well defined.  The census feeds
 the kernel masks read straight from its counter, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
@@ -24,14 +25,15 @@ from weakref import WeakValueDictionary
 
 from .cantor import PREDICATE_ARITIES, emit_phi
 from .digraphs import Digraph
-from .formulas import ArityMismatch
+from .formulas import ArityMismatch, UnknownPredicate
 from .semantics import evaluate_sentence
-
-PREDICATE_ARITY = PREDICATE_ARITIES  # the former name
 
 # Most vertices the phi method of is_cantor accepts: on random digraphs the
 # sentence took up to 1.6 s at 12 vertices, 7.6 s at 16 and 48 s at 24.
 PHI_MAX_VERTICES = 12
+# Most levels of the strongly extensive construction: level 4 ends at
+# vertex 2059, and level 5 would add 2^2059 vertices.
+OMEGA_MAX_LEVELS = 4
 
 
 class AnalysisError(ValueError):
@@ -43,10 +45,6 @@ class AmbiguousPair(RuntimeError):
 
 
 class NotASurjection(AnalysisError):
-    pass
-
-
-class InDegreeTooLarge(AnalysisError):
     pass
 
 
@@ -106,30 +104,33 @@ def unique_vertices(masks) -> dict[int, int]:
     return the
 
 
-def pair_table(masks, the: dict[int, int]) -> dict[int, tuple[int, int]]:
+def pair_table(the: dict[int, int]) -> dict[int, tuple[int, int]]:
     """Each ordered-pair vertex mapped to its components (first, second).
 
     The pair of a and b is the unique vertex whose elements are the
-    singleton of a and the doubleton of a and b.
+    singleton of a and the doubleton of a and b.  Only a realized mask
+    of one or two bits is a doubleton: {a, b} is the doubleton of a and
+    b and of b and a, and {a} is the doubleton of a and a.
     """
     pairs: dict[int, tuple[int, int]] = {}
-    bits = [1 << i for i in range(len(masks))]
     get = the.get
-    for a, a_bit in enumerate(bits, 1):
-        s = get(a_bit)
-        if s is None:
+    for m, d in the.items():
+        low = m & -m
+        high = m ^ low
+        if not low or high & (high - 1):
             continue
-        s_bit = bits[s - 1]
-        for b, b_bit in enumerate(bits, 1):
-            d = get(a_bit | b_bit)
-            if d is None:
+        d_bit = 1 << (d - 1)
+        for a_bit, b_bit in ((low, high), (high, low)) if high else ((low, low),):
+            s = get(a_bit)
+            if s is None:
                 continue
-            p = get(s_bit | bits[d - 1])
+            p = get(1 << (s - 1) | d_bit)
             if p is None:
                 continue
+            ab = (a_bit.bit_length(), b_bit.bit_length())
             if p in pairs:
-                raise AmbiguousPair(f"vertex {p} resolves to {pairs[p]} and {(a, b)}")
-            pairs[p] = (a, b)
+                raise AmbiguousPair(f"vertex {p} resolves to {pairs[p]} and {ab}")
+            pairs[p] = ab
     return pairs
 
 
@@ -174,42 +175,38 @@ def read_relation(masks, pairs, f: int, d: int) -> tuple[bool, int] | None:
     return single_valued and firsts == md, seconds
 
 
-def surjects(masks, pairs, f: int, d: int, power: int | None = None) -> bool:
+def surjects(masks, pairs, f: int, d: int) -> bool:
     """Vertex f is a function from N(d) onto the power set of d."""
     read = read_relation(masks, pairs, f, d)
-    if read is None or not read[0]:
-        return False
-    if power is None:
-        power = power_mask(masks, d)
-    return not power & ~read[1]
+    return read is not None and read[0] and not power_mask(masks, d) & ~read[1]
 
 
 def find_surjection(masks, pairs) -> tuple[int, int] | None:
     """The first (u, v), u outer and v inner, with v a surjection from u onto its power set.
 
-    A surjection has only pair vertices as elements, and at least one,
-    since u lies in its own power set.  It has |N(u)| elements, and onto
-    needs |P(u)| <= |N(u)|; candidates failing these counts are skipped
-    before the full test.
+    A surjection has only pair vertices as elements, at least one, and
+    their first components are exactly N(u).  Such vertices are indexed
+    by that mask of first components, and each u is tried only against
+    the vertices filed under N(u).
     """
     if not pairs:
         return None
     pair_bits = 0
     for p in pairs:
         pair_bits |= 1 << (p - 1)
-    functions = [v for v, m in enumerate(masks, 1) if m and not m & ~pair_bits]
-    if not functions:
-        return None
-    sizes = [m.bit_count() for m in masks]
-    for u, size in enumerate(sizes, 1):
-        candidates = [v for v in functions if sizes[v - 1] == size]
-        if not candidates:
-            continue
-        power = power_mask(masks, u)
-        if power.bit_count() > size:
-            continue
-        for v in candidates:
-            if surjects(masks, pairs, v, u, power):
+    by_firsts: dict[int, list[int]] = {}
+    for v, m in enumerate(masks, 1):
+        if m and not m & ~pair_bits:
+            firsts = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                firsts |= 1 << (pairs[low.bit_length()][0] - 1)
+                rest ^= low
+            by_firsts.setdefault(firsts, []).append(v)
+    for u, m in enumerate(masks, 1):
+        for v in by_firsts.get(m, ()):
+            if surjects(masks, pairs, v, u):
                 return (u, v)
     return None
 
@@ -247,7 +244,7 @@ class DigraphAnalysis:
         self.digraph = digraph
         self.masks = in_masks(digraph)
         self._the = unique_vertices(self.masks)
-        self._pairs = pair_table(self.masks, self._the)
+        self._pairs = pair_table(self._the)
 
     # -- the nine predicates ------------------------------------------------
 
@@ -285,12 +282,11 @@ class DigraphAnalysis:
         return mask_vertices(power_mask(self.masks, u))
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
-        try:
-            arity = PREDICATE_ARITIES[name]
-        except KeyError:
-            raise AnalysisError(f"unknown predicate {name!r}") from None
+        # position 1: the predicate name's place in `NAME ( args )`
+        arity = PREDICATE_ARITIES.get(name)
+        if arity is None:
+            raise UnknownPredicate(1, f"predicate {name!r} is not one of the nine")
         if len(args) != arity:
-            # position 1: the predicate name's place in `NAME ( args )`
             raise ArityMismatch(1, f"{name} takes {arity} arguments, got {len(args)}")
         for a in args:
             self.digraph.check_vertex(a)
@@ -373,31 +369,24 @@ def cantor_witness(digraph: Digraph) -> tuple[int, int] | None:
     return DigraphAnalysis(digraph).cantor_witness()
 
 
-def is_strongly_extensive(digraph: Digraph, *, max_in_degree: int = 20) -> bool:
+def is_strongly_extensive(digraph: Digraph) -> bool:
     """Every subset of every in-neighborhood is itself an in-neighborhood.
 
-    Degrees above ``max_in_degree`` are rejected before any work since
-    the subset enumeration would touch 2^degree sets.  Vertices whose
-    degree d satisfies 2^d > n fail immediately: that many distinct
-    subsets cannot all be realized by n vertices.
+    A vertex whose in-degree d has 2^d > n fails at once, since that many
+    distinct subsets cannot all be realized by n vertices; so at most n
+    subsets of each in-neighborhood are enumerated.
     """
-    masks = in_masks(digraph)
-    for u, m in enumerate(masks, start=1):
-        degree = m.bit_count()
-        if degree > max_in_degree:
-            raise InDegreeTooLarge(
-                f"vertex {u} has in-degree {degree}, above the guard {max_in_degree}"
-            )
-    return masks_strongly_extensive(masks)
+    return masks_strongly_extensive(in_masks(digraph))
 
 
-def omega_level_ranges(levels: int, *, max_levels: int = 4) -> tuple[tuple[int, int], ...]:
+def omega_level_ranges(levels: int) -> tuple[tuple[int, int], ...]:
     """Vertex ranges [lo, hi] of each construction level."""
     if levels < 1:
         raise SizeGuardExceeded("need at least one level")
-    if levels > max_levels:
+    if levels > OMEGA_MAX_LEVELS:
         raise SizeGuardExceeded(
-            f"levels={levels} exceeds the guard {max_levels}; the construction doubles exponentially"
+            f"levels={levels} exceeds the guard {OMEGA_MAX_LEVELS};"
+            " the construction doubles exponentially"
         )
     ranges = [(1, 1)]
     total = 1
@@ -409,10 +398,10 @@ def omega_level_ranges(levels: int, *, max_levels: int = 4) -> tuple[tuple[int, 
     return tuple(ranges)
 
 
-_omega_prefixes: WeakValueDictionary[tuple[int, int], Digraph] = WeakValueDictionary()
+_omega_prefixes: WeakValueDictionary[int, Digraph] = WeakValueDictionary()
 
 
-def omega_prefix(levels: int, *, max_levels: int = 4) -> Digraph:
+def omega_prefix(levels: int) -> Digraph:
     """A finite prefix of the countable strongly extensive construction.
 
     Level 1 is the single vertex 1 with no arrows.  Each next level adds
@@ -425,10 +414,10 @@ def omega_prefix(levels: int, *, max_levels: int = 4) -> Digraph:
     is shared: it is immutable.  The cache holds it weakly, so a 2059-vertex
     prefix nobody uses costs no memory.
     """
-    cached = _omega_prefixes.get((levels, max_levels))
+    cached = _omega_prefixes.get(levels)
     if cached is not None:
         return cached
-    ranges = omega_level_ranges(levels, max_levels=max_levels)
+    ranges = omega_level_ranges(levels)
     arrows: set[tuple[int, int]] = set()
     previous: list[int] = [1]
     for lo, hi in ranges[1:]:
@@ -439,5 +428,5 @@ def omega_prefix(levels: int, *, max_levels: int = 4) -> Digraph:
                     arrows.add((member, newv))
         previous.extend(range(lo, hi + 1))
     prefix = Digraph(ranges[-1][1], frozenset(arrows))
-    _omega_prefixes[levels, max_levels] = prefix
+    _omega_prefixes[levels] = prefix
     return prefix

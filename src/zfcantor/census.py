@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 from operator import or_
 from typing import Iterator
 
+from .analysis import SizeGuardExceeded as GuardExceeded  # census's name for it
 from .analysis import find_surjection, masks_strongly_extensive, pair_table, unique_vertices
 from .digraphs import Digraph
 
 DEFAULT_MAX_N = 4
 HARD_MAX_N = 5
-
-
-class GuardExceeded(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def _count_range(task: tuple[int, int, int, bool]) -> tuple[int, int, list[int]]
             masks = tuple(map(or_, base, column[low]))
             if masks_strongly_extensive(masks):
                 strongly_extensive += 1
-            if find_surjection(masks, pair_table(masks, unique_vertices(masks))) is None:
+            if find_surjection(masks, pair_table(unique_vertices(masks))) is None:
                 cantor += 1
             elif collect:
                 non_cantor.append(offset + low)
@@ -126,8 +123,7 @@ def census(
 
 def non_cantor_digraphs(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, Digraph]]:
     """The non-Cantor digraphs on [n] with their counters, in counter order."""
-    _check_n(n, max_n)
-    for counter in _count_range((n, 0, 2 ** (n * n), True))[2]:
+    for counter in census(n, max_n=max_n, witnesses=True).non_cantor:
         yield counter, digraph_from_counter(n, counter)
 
 

@@ -12,7 +12,7 @@ import sys
 
 from . import analysis
 from .cantor import emit_expansions, emit_phi
-from .census import GuardExceeded, census, digraph_from_counter, format_row
+from .census import census, digraph_from_counter, format_row
 from .digraphs import Digraph, DigraphError, dump_digraph, load_digraph
 from .formulas import (
     NEGATION,
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
-            analysis.AnalysisError, GuardExceeded) as exc:
+            analysis.AnalysisError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return FALSE_VERDICT
 

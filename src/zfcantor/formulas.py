@@ -30,6 +30,8 @@ from .symbols import (
     LPAREN,
     MEMBERSHIP,
     NEGATION,
+    NEW_VAR_NAME_RE,
+    PREDICATE_NAME_RE,
     RPAREN,
     SEMICOLON,
     PredicateSignature,
@@ -78,8 +80,6 @@ class NestingTooDeep(ParseError):
 
 
 _SET_VAR_TOKEN_RE = re.compile(r"^x[0-9]+$")
-_NEW_VAR_TOKEN_RE = re.compile(r"^\?(?:[xyzabc]|y[1-9][0-9]*)$")
-_PREDICATE_TOKEN_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 _SELF_DELIMITING = "();"
 
 
@@ -111,10 +111,10 @@ def _classify_token(tok: str, pos: int) -> Symbol:
             raise MalformedVariable(pos, f"set variable {tok!r} has index 0 or a leading zero")
         return set_var(int(digits))
     if tok.startswith("?"):
-        if _NEW_VAR_TOKEN_RE.match(tok):
+        if NEW_VAR_NAME_RE.match(tok[1:]):
             return new_var(tok[1:])
         raise MalformedVariable(pos, f"bad new-variable token {tok!r}")
-    if _PREDICATE_TOKEN_RE.match(tok):
+    if PREDICATE_NAME_RE.match(tok):
         return predicate(tok)
     raise UnknownToken(pos, f"unknown token {tok!r}")
 

@@ -9,8 +9,7 @@ never a silent default.  Predicate atoms must be expanded first.
 Connectives and quantifiers short-circuit.  A per-call memo keys the
 value of every compound subformula by the vertices bound to its free
 variables, which keeps evaluation of the Cantor sentence cheap; it is
-always on and never outlives the call.  The ``use_cache`` keyword is
-still accepted and ignored.
+always on and never outlives the call.
 """
 from __future__ import annotations
 
@@ -68,14 +67,8 @@ def _free_variables_by_node(tree: Formula) -> tuple[frozenset[Symbol], dict[int,
     return walk(tree), by_node
 
 
-def evaluate(
-    digraph: Digraph,
-    tree: Formula,
-    env: Mapping[Symbol, int] | None = None,
-    *,
-    use_cache: bool = True,
-) -> bool:
-    """Decide whether the digraph satisfies the formula under env; use_cache is ignored."""
+def evaluate(digraph: Digraph, tree: Formula, env: Mapping[Symbol, int] | None = None) -> bool:
+    """Decide whether the digraph satisfies the formula under env."""
     bindings: dict[Symbol, int] = dict(env or {})
     free, free_of = _free_variables_by_node(tree)
     unbound = free - bindings.keys()
@@ -125,7 +118,7 @@ def evaluate(
     return ev(tree)
 
 
-def evaluate_sentence(digraph: Digraph, tree: Formula, *, use_cache: bool = True) -> bool:
+def evaluate_sentence(digraph: Digraph, tree: Formula) -> bool:
     """Evaluate a sentence; its value does not depend on any environment."""
     if not is_sentence(tree):
         raise NotASentence("the formula has a free variable occurrence")

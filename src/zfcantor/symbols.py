@@ -128,7 +128,11 @@ LPAREN = Symbol(SymbolKind.LPAREN)
 RPAREN = Symbol(SymbolKind.RPAREN)
 SEMICOLON = Symbol(SymbolKind.SEMICOLON)
 
-FIXED_SYMBOLS = {tok: Symbol(kind) for kind, tok in _FIXED_TOKENS.items()}
+FIXED_SYMBOLS = {
+    sym.token: sym
+    for sym in (MEMBERSHIP, EQUALITY, NEGATION, IMPLICATION, BICONDITIONAL, CONJUNCTION,
+                DISJUNCTION, EXISTS, FORALL, LPAREN, RPAREN, SEMICOLON)
+}
 
 
 @dataclass(frozen=True)

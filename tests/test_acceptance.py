@@ -14,12 +14,11 @@ from naive import naive_census
 from zfcantor import cantor
 from zfcantor.analysis import (
     DigraphAnalysis,
-    PREDICATE_ARITY,
     is_strongly_extensive,
     omega_level_ranges,
     omega_prefix,
 )
-from zfcantor.cantor import builtin_scheme, emit_expansions, emit_phi
+from zfcantor.cantor import PREDICATE_ARITIES, builtin_scheme, emit_expansions, emit_phi
 from zfcantor.census import census, digraph_from_counter, enumerate_digraphs
 from zfcantor.digraphs import Digraph, all_loops, edgeless
 from zfcantor.formulas import (
@@ -60,7 +59,7 @@ def fresh_build():
 def instantiated_expansions():
     table = {}
     for named in emit_expansions():
-        arity = PREDICATE_ARITY[named.name]
+        arity = PREDICATE_ARITIES[named.name]
         table[named.name] = instantiate(
             named.formula, dict(zip(PARAMS[:arity], ARG_SLOTS[:arity]))
         )
@@ -70,12 +69,12 @@ def instantiated_expansions():
 def check_equivalence(digraph, names, instantiated, tuples_by_arity):
     ctx = DigraphAnalysis(digraph)
     for name in names:
-        arity = PREDICATE_ARITY[name]
+        arity = PREDICATE_ARITIES[name]
         tree = instantiated[name]
         for args in tuples_by_arity[arity]:
             env = dict(zip(ARG_SLOTS[:arity], args))
             direct = ctx.predicate(name, args)
-            via_formula = evaluate(digraph, tree, env, use_cache=True)
+            via_formula = evaluate(digraph, tree, env)
             assert direct == via_formula, (digraph, name, args)
 
 
@@ -143,7 +142,7 @@ def test_criterion_04_scheme_metadata():
 def test_criterion_05_oracle_equivalence_n2():
     start = time.perf_counter()
     instantiated = instantiated_expansions()
-    names = list(PREDICATE_ARITY)
+    names = list(PREDICATE_ARITIES)
     for digraph in enumerate_digraphs(2):
         tuples_by_arity = {
             k: list(product(digraph.vertices, repeat=k)) for k in (2, 3)
@@ -183,7 +182,7 @@ def test_criterion_07_cantor_method_agreement():
     phi = emit_phi()
     for digraph in enumerate_digraphs(3):
         semantic = DigraphAnalysis(digraph).is_cantor()
-        via_sentence = evaluate_sentence(digraph, phi, use_cache=True)
+        via_sentence = evaluate_sentence(digraph, phi)
         assert semantic == via_sentence, digraph
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

@@ -170,7 +170,7 @@ class TestKernelAgainstOracles:
         phi = emit_phi()
         for counter in (rng.randrange(2**16) for _ in range(30)):
             digraph = digraph_from_counter(4, counter)
-            assert kernel_verdicts(4, counter)[1] == evaluate_sentence(digraph, phi, use_cache=True)
+            assert kernel_verdicts(4, counter)[1] == evaluate_sentence(digraph, phi)
 
     def test_witnesses_match_the_counting_pass(self):
         row = census(3, witnesses=True)

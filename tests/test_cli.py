@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -18,6 +19,7 @@ LOOPS2 = "vertices 2\n1 1\n2 2\n"
 CHAIN2 = "vertices 2\n1 2\n"
 DEEP_NEGATIONS = "! " * 3000 + "( x1 = x1 )"
 DEEP_QUANTIFIERS = "( E x1 " * 1500 + "( x1 = x1 )" + " )" * 1500
+PATH3000 = "vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001))
 
 
 @pytest.fixture
@@ -241,10 +243,23 @@ class TestInputGuards:
         assert err.startswith("invalid: position ") and "nest deeper than" in err
 
     def test_phi_method_rejects_large_digraphs(self, run, digraph_file):
-        path = digraph_file("vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001)))
+        path = digraph_file(PATH3000)
         code, out, err = run("is-cantor", "--digraph", path, "--method", "phi")
         assert (code, out) == (1, "")
         assert err.startswith("invalid: 3000 vertices exceed the guard")
+
+    def test_semantic_method_answers_on_a_long_path(self, run, digraph_file):
+        path = digraph_file(PATH3000)
+        start = time.perf_counter()
+        code, out, _ = run("is-cantor", "--digraph", path)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (0, "is-cantor true\n")
+
+    def test_high_in_degree_is_a_false_verdict(self, run, digraph_file):
+        # a 25-subset neighborhood cannot be strongly extensive on 26 vertices
+        path = digraph_file("vertices 26\n" + "".join(f"{u} 26\n" for u in range(1, 26)))
+        code, out, err = run("is-strongly-extensive", "--digraph", path)
+        assert (code, out, err) == (1, "is-strongly-extensive false\n", "")
 
 
 FUZZ_TOKENS = ["(", ")", ";", "!", "->", "<->", "&", "|", "in", "=", "E", "A",

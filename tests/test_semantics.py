@@ -70,7 +70,7 @@ class TestEvaluateSentence:
         assert evaluate_sentence(edgeless(1), emit_phi()) is True
 
     def test_all_loops_violate_the_cantor_sentence(self):
-        assert evaluate_sentence(all_loops(2), emit_phi(), use_cache=True) is False
+        assert evaluate_sentence(all_loops(2), emit_phi()) is False
 
     def test_reflexivity_holds_everywhere(self):
         tree = parse_text("( A x1 ( x1 = x1 ) )")
@@ -107,4 +107,3 @@ def test_cache_does_not_change_values(d, text):
     env = {set_var(i): 1 for i in range(1, 6)}
     expected = naive_evaluate(d, tree, env)
     assert evaluate(d, tree, env) == expected
-    assert evaluate(d, tree, env, use_cache=False) == expected  # the keyword is ignored
