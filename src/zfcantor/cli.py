@@ -13,7 +13,7 @@ import sys
 from . import analysis
 from .cantor import emit_expansions, emit_phi
 from .census import census, digraph_from_counter, format_row
-from .digraphs import Digraph, DigraphError, dump_digraph, load_digraph
+from .digraphs import Digraph, DigraphError, SizeGuardExceeded, dump_digraph, load_digraph
 from .formulas import (
     NEGATION,
     ParseError,
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
-            analysis.AnalysisError) as exc:
+            analysis.AnalysisError, SizeGuardExceeded) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return FALSE_VERDICT
 

@@ -24,6 +24,10 @@ class VertexOutOfRange(DigraphError):
     pass
 
 
+class SizeGuardExceeded(ValueError):
+    """An input is too large for the requested computation; raised before the work starts."""
+
+
 class DuplicateArrowWarning(UserWarning):
     pass
 

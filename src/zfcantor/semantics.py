@@ -6,19 +6,34 @@ vertices.  An environment binds variables to vertices and must cover
 every free variable of the formula; an unbound variable is an error,
 never a silent default.  Predicate atoms must be expanded first.
 
-Connectives and quantifiers short-circuit.  A per-call memo keys the
-value of every compound subformula by the vertices bound to its free
-variables, which keeps evaluation of the Cantor sentence cheap; it is
-always on and never outlives the call.
+Evaluation is bottom-up over truth tables.  Every subformula gets a
+table with one axis of n cells per quantified variable occurring free in
+it; a variable is identified by its binder, not its symbol, and the
+variables bound by the environment are constants.  Axes are ordered by
+binder depth, the deepest most significant, so a quantifier's own
+variable is always the top axis of its child's table.  A table is a
+Python int with one bit per cell: connectives are bitwise operations
+after both children are broadcast to the union of their axes, and a
+quantifier combines the n blocks of its child's top axis.  The cost is
+O(|formula| * n^w) for w the most axes of any table (Vardi 1995, "On the
+complexity of bounded-variable queries"); w is 5 for the Cantor
+sentence.
+
+The axis layout of every node, the broadcast steps and the free
+variables depend on the tree alone, so they are compiled once into a
+plan.  Plans are cached by tree identity, not by value (hashing a large
+tree costs more than evaluating it on a small digraph).  No table may
+exceed MAX_TABLE_CELLS cells; the bound is checked from the plan before
+any table is built.
 """
 from __future__ import annotations
 
+import threading
 from typing import Mapping
 
-from .digraphs import Digraph
+from .digraphs import Digraph, SizeGuardExceeded
 from .formulas import (
     And,
-    Equality,
     Formula,
     Iff,
     Implies,
@@ -28,9 +43,12 @@ from .formulas import (
     PredicateAtom,
     Quantifier,
     RelationAtom,
-    is_sentence,
 )
 from .symbols import EXISTS, Symbol
+
+# Most cells of any truth table: the Cantor sentence at 12 vertices needs
+# 12^5 = 248,832, and 2^20 cells are 128 KB per table.
+MAX_TABLE_CELLS = 2**20
 
 
 class SemanticsError(ValueError):
@@ -49,77 +67,235 @@ class NotASentence(SemanticsError):
     pass
 
 
-def _free_variables_by_node(tree: Formula) -> tuple[frozenset[Symbol], dict[int, tuple[Symbol, ...]]]:
-    """The free variables of the tree, and of each compound subformula by node id."""
-    by_node: dict[int, tuple[Symbol, ...]] = {}
+# Instructions of a plan, run in post-order on a stack of tables.  Each
+# carries the number of axes k of the table it makes (2^(n^k) - 1 is
+# its all-true table) and, for atoms, what the table is read from.
+_CONST = 0  # (op, k, is_membership, left, right): both sides bound by env, as indices into free
+_ROW = 1  # (op, k, is_membership, index into free, bound_is_left): one side bound by env
+_DIAG = 2  # (op, k, is_membership): both sides one quantified variable
+_MATRIX = 3  # (op, k, is_membership, left_is_top): two quantified variables
+_NOT = 4  # (op, k)
+_AND, _OR, _IMPLIES, _IFF = 5, 6, 7, 8  # (op, k, left k, left steps, right k, right steps)
+_EXISTS, _FORALL = 9, 10  # (op, k)
 
-    def walk(node: Formula) -> frozenset[Symbol]:
+_BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
+
+
+# A plan: (program, free variables, width, name of the first predicate
+# atom or None).  A plain tuple, since a dataclass costs a millisecond at
+# import.
+_Plan = tuple[tuple[tuple, ...], tuple[Symbol, ...], int, str | None]
+
+
+def _steps(child: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
+    """Broadcast a table over child to one over axes: the positions to insert.
+
+    Insertions go in ascending position, so every axis below the one
+    being inserted is already present.
+    """
+    return tuple(position for position, axis in enumerate(axes) if axis not in child)
+
+
+def _compile(tree: Formula) -> _Plan:
+    program: list[tuple] = []
+    free: dict[Symbol, int] = {}  # free variable -> its index in the plan's free tuple
+    width = 0
+    unexpanded: str | None = None
+
+    def index(sym: Symbol) -> int:
+        return free.setdefault(sym, len(free))
+
+    def emit(instruction: tuple, axes: tuple[int, ...]) -> tuple[int, ...]:
+        nonlocal width
+        width = max(width, len(axes))
+        program.append(instruction)
+        return axes
+
+    def walk(node: Formula, scope: dict[Symbol, int], depth: int) -> tuple[int, ...]:
+        """Append the node's instructions; return its axes as binder depths, ascending.
+
+        scope maps each variable to the depth of its binder; depth counts
+        the quantifiers above node.
+        """
+        nonlocal unexpanded
         if isinstance(node, RelationAtom):
-            return frozenset((node.left, node.right))
-        if isinstance(node, PredicateAtom):
-            raise PredicateNotExpanded(f"predicate atom {node.name} cannot be evaluated")
-        free = frozenset().union(*map(walk, node.children))
+            mem = isinstance(node, Membership)
+            left, right = scope.get(node.left), scope.get(node.right)
+            if left is None and right is None:
+                return emit((_CONST, 0, mem, index(node.left), index(node.right)), ())
+            if left is None:
+                return emit((_ROW, 1, mem, index(node.left), True), (right,))
+            if right is None:
+                return emit((_ROW, 1, mem, index(node.right), False), (left,))
+            if left == right:
+                return emit((_DIAG, 1, mem), (left,))
+            return emit((_MATRIX, 2, mem, left > right), tuple(sorted((left, right))))
+        if isinstance(node, PredicateAtom):  # only its free variables matter: evaluate rejects the plan
+            unexpanded = unexpanded or node.name
+            for sym in node.args:
+                if sym not in scope:
+                    index(sym)
+            return ()
+        if isinstance(node, Not):
+            axes = walk(node.child, scope, depth)
+            return emit((_NOT, len(axes)), axes)
         if isinstance(node, Quantifier):
-            free -= {node.var}
-        by_node[id(node)] = tuple(free)
-        return free
+            axes = walk(node.child, {**scope, node.var: depth}, depth + 1)
+            if not axes or axes[-1] != depth:
+                return axes  # vacuous: over a nonempty domain the child is its own value
+            return emit((_EXISTS if node.symbol is EXISTS else _FORALL, len(axes) - 1), axes[:-1])
+        left = walk(node.left, scope, depth)
+        right = walk(node.right, scope, depth)
+        axes = tuple(sorted(set(left) | set(right)))
+        op = _BINARY_OPS[type(node)]
+        return emit((op, len(axes), len(left), _steps(left, axes), len(right), _steps(right, axes)), axes)
 
-    return walk(tree), by_node
+    walk(tree, {}, 0)
+    return tuple(program), tuple(free), width, unexpanded
+
+
+_PLAN_CACHE_SIZE = 64
+# id(tree) -> (tree, plan).  Holding the tree keeps its id from being
+# reused by another tree while the entry lives.
+_plans: dict[int, tuple[Formula, _Plan]] = {}
+_plans_lock = threading.Lock()
+
+
+def _plan(tree: Formula) -> _Plan:
+    entry = _plans.get(id(tree))
+    if entry is None:
+        plan = _compile(tree)
+        with _plans_lock:
+            if len(_plans) >= _PLAN_CACHE_SIZE:
+                del _plans[next(iter(_plans))]  # the oldest entry
+            entry = _plans[id(tree)] = (tree, plan)
+    return entry[1]
+
+
+def _table(cells: int, true_cells) -> int:
+    """The table with exactly the given cells true."""
+    bits = bytearray(b"0") * cells
+    for cell in true_cells:
+        bits[~cell] = 49  # ord("1"); the string is most significant bit first
+    return int(bits, 2)
+
+
+def _broadcast(table: int, cells: int, steps, size: list[int]) -> int:
+    """Insert axes into a table; size[k] is the cell count of k axes.
+
+    The bit string of the table reads as blocks [high][low]; inserting an
+    axis repeats every low block n times, giving [high][n][low].  The
+    pattern is the same read from either end, so the string needs no
+    reversal.
+    """
+    n = size[1]
+    bits = format(table, f"0{cells}b").encode()
+    for position in steps:
+        low = size[position]
+        high = len(bits) // low
+        if high <= n * low:
+            bits = b"".join([bits[h * low:(h + 1) * low] * n for h in range(high)])
+        else:
+            out = bytearray(len(bits) * n)
+            stride = n * low
+            for k in range(stride):
+                out[k::stride] = bits[k % low::low]
+            bits = out
+    return int(bits, 2)
+
+
+def _forall(table: int, n: int, block: int) -> int:
+    """Quantify the top axis universally: AND the n blocks of block cells."""
+    if block == 1:  # the top axis is the only one
+        return int(table == (1 << n) - 1)
+    out = table
+    for i in range(1, n):
+        out &= table >> (i * block)
+    return out
+
+
+def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[int]) -> bool:
+    n, arrows = digraph.n, digraph.arrows
+    size = [n**k for k in range(width + 1)]
+    full = [(1 << cells) - 1 for cells in size]
+    matrices: dict[tuple[bool, bool], int] = {}
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for ins in program:
+        op, k = ins[0], ins[1]
+        if op >= _AND:
+            if op <= _IFF:
+                _, _, lk, lsteps, rk, rsteps = ins
+                right = pop()
+                left = pop()
+                if lsteps:
+                    left = _broadcast(left, size[lk], lsteps, size)
+                if rsteps:
+                    right = _broadcast(right, size[rk], rsteps, size)
+                if op == _AND:
+                    push(left & right)
+                elif op == _OR:
+                    push(left | right)
+                elif op == _IMPLIES:
+                    push((left ^ full[k]) | right)
+                else:
+                    push(left ^ right ^ full[k])
+            elif op == _FORALL:
+                push(_forall(pop(), n, size[k]))
+            else:  # exists is not-forall-not
+                push(_forall(pop() ^ full[k + 1], n, size[k]) ^ full[k])
+        elif op == _NOT:
+            push(pop() ^ full[k])
+        elif op == _MATRIX:
+            key = ins[2:]
+            table = matrices.get(key)
+            if table is None:
+                mem, left_is_top = key
+                if not mem:
+                    table = int(("0" * n + "1") * n, 2)  # bits i*(n+1): the diagonal
+                elif left_is_top:
+                    table = _table(n * n, [(u - 1) * n + v - 1 for u, v in arrows])
+                else:
+                    table = _table(n * n, [(v - 1) * n + u - 1 for u, v in arrows])
+                matrices[key] = table
+            push(table)
+        elif op == _DIAG:
+            push(_table(n, [u - 1 for u, v in arrows if u == v]) if ins[2] else full[1])
+        elif op == _ROW:
+            _, _, mem, i, bound_is_left = ins
+            c = values[i]
+            if not mem:
+                push(1 << (c - 1) if c in digraph.vertices else 0)
+            elif bound_is_left:
+                push(_table(n, [v - 1 for u, v in arrows if u == c]))
+            else:
+                push(_table(n, [u - 1 for u, v in arrows if v == c]))
+        else:  # _CONST
+            a, b = values[ins[3]], values[ins[4]]
+            push(int((a, b) in arrows if ins[2] else a == b))
+    return bool(pop())
 
 
 def evaluate(digraph: Digraph, tree: Formula, env: Mapping[Symbol, int] | None = None) -> bool:
     """Decide whether the digraph satisfies the formula under env."""
-    bindings: dict[Symbol, int] = dict(env or {})
-    free, free_of = _free_variables_by_node(tree)
-    unbound = free - bindings.keys()
+    program, free, width, unexpanded = _plan(tree)
+    if unexpanded is not None:
+        raise PredicateNotExpanded(f"predicate atom {unexpanded} cannot be evaluated")
+    env = env or {}
+    unbound = [sym.token for sym in free if sym not in env]
     if unbound:
-        names = ", ".join(sorted(sym.token for sym in unbound))
-        raise UnboundVariable(f"variable {names} is not bound")
-    arrows = digraph.arrows
-    vertices = digraph.vertices
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def ev(node: Formula) -> bool:
-        if isinstance(node, Membership):
-            return (bindings[node.left], bindings[node.right]) in arrows
-        if isinstance(node, Equality):
-            return bindings[node.left] == bindings[node.right]
-        key = (id(node), *[bindings[v] for v in free_of[id(node)]])
-        value = memo.get(key)
-        if value is not None:
-            return value
-        if isinstance(node, Quantifier):
-            witness = node.symbol is EXISTS
-            var = node.var
-            saved = bindings.get(var)
-            value = not witness
-            for vertex in vertices:
-                bindings[var] = vertex
-                if ev(node.child) == witness:
-                    value = witness
-                    break
-            # restore an outer binding; after the up-front check a None is never read
-            bindings[var] = saved
-        elif isinstance(node, Not):
-            value = not ev(node.child)
-        elif isinstance(node, Implies):
-            value = not ev(node.left) or ev(node.right)
-        elif isinstance(node, Iff):
-            value = ev(node.left) == ev(node.right)
-        elif isinstance(node, And):
-            value = ev(node.left) and ev(node.right)
-        elif isinstance(node, Or):
-            value = ev(node.left) or ev(node.right)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = value
-        return value
-
-    return ev(tree)
+        raise UnboundVariable(f"variable {', '.join(sorted(unbound))} is not bound")
+    if digraph.n**width > MAX_TABLE_CELLS:
+        raise SizeGuardExceeded(
+            f"{width} quantified variables over {digraph.n} vertices need tables of"
+            f" {digraph.n}^{width} cells, over the guard {MAX_TABLE_CELLS}"
+        )
+    return _run(program, width, digraph, [env[sym] for sym in free])
 
 
 def evaluate_sentence(digraph: Digraph, tree: Formula) -> bool:
     """Evaluate a sentence; its value does not depend on any environment."""
-    if not is_sentence(tree):
+    free = _plan(tree)[1]
+    if free:
         raise NotASentence("the formula has a free variable occurrence")
     return evaluate(digraph, tree, {})

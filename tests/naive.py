@@ -3,7 +3,7 @@
 Deliberately written as literal quantifier loops over the definitions,
 sharing only the Digraph data type and the parse-tree classes with the
 package.  Used to compute expected values that the tests then freeze,
-and to cross-check the table-driven implementation and the memoised
+and to cross-check the table-driven implementation and the truth-table
 evaluator on small digraphs.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from zfcantor.formulas import And, Equality, Exists, Forall, Iff, Implies, Membe
 
 
 def naive_evaluate(d: Digraph, tree, env) -> bool:
-    """Satisfaction by plain recursion over the tree, with no memo."""
+    """Satisfaction by plain recursion over the tree, one binding at a time."""
     if isinstance(tree, Membership):
         return (env[tree.left], env[tree.right]) in d.arrows
     if isinstance(tree, Equality):

@@ -1,6 +1,7 @@
 import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -19,6 +20,10 @@ LOOPS2 = "vertices 2\n1 1\n2 2\n"
 CHAIN2 = "vertices 2\n1 2\n"
 DEEP_NEGATIONS = "! " * 3000 + "( x1 = x1 )"
 DEEP_QUANTIFIERS = "( E x1 " * 1500 + "( x1 = x1 )" + " )" * 1500
+# eight quantified variables free together in one conjunction: tables of n^8 cells
+CHAIN8 = "".join(f"( E x{i} " for i in range(1, 9)) + reduce(
+    lambda body, i: f"( {body} & ( x{i} in x{i + 1} ) )", range(2, 8), "( x1 in x2 )"
+) + " )" * 8
 PATH3000 = "vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001))
 
 
@@ -247,6 +252,14 @@ class TestInputGuards:
         code, out, err = run("is-cantor", "--digraph", path, "--method", "phi")
         assert (code, out) == (1, "")
         assert err.startswith("invalid: 3000 vertices exceed the guard")
+
+    def test_wide_formula_on_a_long_path_is_invalid(self, run, digraph_file):
+        path = digraph_file(PATH3000)
+        start = time.perf_counter()
+        code, out, err = run("eval", "--digraph", path, stdin=CHAIN8)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: 8 quantified variables over 3000 vertices")
 
     def test_semantic_method_answers_on_a_long_path(self, run, digraph_file):
         path = digraph_file(PATH3000)

@@ -1,13 +1,20 @@
+import random
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from naive import naive_evaluate
 from strategies import digraphs, formula_text, sentence_text
+from zfcantor.analysis import DigraphAnalysis
 from zfcantor.cantor import emit_phi
-from zfcantor.digraphs import Digraph, all_loops, edgeless
+from zfcantor.digraphs import Digraph, SizeGuardExceeded, all_loops, edgeless
 from zfcantor.formulas import parse_text
 from zfcantor.semantics import (
+    MAX_TABLE_CELLS,
     NotASentence,
     PredicateNotExpanded,
     UnboundVariable,
@@ -48,7 +55,7 @@ class TestEvaluate:
     def test_unbound_variable_is_an_error(self):
         with pytest.raises(UnboundVariable):
             evaluate(edgeless(1), parse_text("( x1 in x2 )"), {X1: 1})
-        with pytest.raises(UnboundVariable, match="x2"):  # even where short-circuiting skips it
+        with pytest.raises(UnboundVariable, match="x2"):  # even where the other disjunct decides
             evaluate(edgeless(1), parse_text("( ( x1 = x1 ) | ( x2 = x2 ) )"), {X1: 1})
 
     def test_new_variables_evaluate_from_environment(self):
@@ -81,6 +88,79 @@ class TestEvaluateSentence:
         with pytest.raises(NotASentence):
             evaluate_sentence(edgeless(1), parse_text("( x1 in x1 )"))
 
+    def test_sentence_agrees_with_the_semantic_method_beyond_n4(self):
+        # every third digraph is redrawn until it is non-Cantor; densities vary per draw
+        start = time.perf_counter()
+        rng = random.Random(20251018)
+        phi = emit_phi()
+        verdicts = []
+        for n, count in ((5, 40), (6, 5), (7, 5), (8, 5)):
+            for i in range(count):
+                while True:
+                    density = rng.choice((0.15, 0.3, 0.45, 0.6))
+                    d = Digraph(n, frozenset(
+                        (u, v) for u in range(1, n + 1) for v in range(1, n + 1) if rng.random() < density
+                    ))
+                    semantic = DigraphAnalysis(d).is_cantor()
+                    if i % 3 or not semantic:
+                        break
+                assert evaluate_sentence(d, phi) == semantic, d
+                verdicts.append(semantic)
+        assert verdicts.count(False) * 4 >= len(verdicts)
+        assert time.perf_counter() - start < 2.0
+
+
+class TestTableGuard:
+    def test_one_axis_at_the_bound(self):
+        tree = parse_text("( E x1 ( x1 = x1 ) )")
+        assert evaluate_sentence(edgeless(MAX_TABLE_CELLS - 1), tree) is True
+        assert evaluate_sentence(edgeless(MAX_TABLE_CELLS), tree) is True
+        with pytest.raises(SizeGuardExceeded):
+            evaluate_sentence(edgeless(MAX_TABLE_CELLS + 1), tree)
+
+    def test_four_axes_at_the_bound(self):
+        tree = parse_text("( A x1 ( A x2 ( E x3 ( E x4 ( ( x1 = x2 ) -> ( x3 in x4 ) ) ) ) ) )")
+        assert 32**4 == MAX_TABLE_CELLS
+        assert evaluate_sentence(edgeless(32), tree) is False
+        assert evaluate_sentence(all_loops(32), tree) is True
+        with pytest.raises(SizeGuardExceeded):
+            evaluate_sentence(edgeless(33), tree)
+
+    def test_guard_comes_after_the_variable_checks(self):
+        with pytest.raises(UnboundVariable):
+            evaluate(edgeless(MAX_TABLE_CELLS + 1), parse_text("( E x1 ( x1 = x2 ) )"), {})
+        assert evaluate(edgeless(MAX_TABLE_CELLS + 1), parse_text("( x1 = x2 )"), {X1: 1, X2: 1}) is True
+
+
+def test_threads_share_the_plan_cache():
+    # More trees than the cache holds, so evictions race with lookups.
+    d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
+    texts = [f"( E x1 ( A x2 ( ( x1 in x2 ) | ( x2 = x{i % 5 + 1} ) ) ) )" for i in range(100)]
+    env = {set_var(i): i % 3 + 1 for i in range(1, 6)}
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                tree = parse_text(texts[(offset + i) % len(texts)])
+                if evaluate(d, tree, env) != naive_evaluate(d, tree, env):
+                    errors.append(tree)
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 25,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
 
 @given(digraphs(), sentence_text(), st.integers(0, 10**6))
 def test_environment_irrelevance_for_sentences(d, text, salt):
@@ -101,9 +181,26 @@ def test_quantifier_duality(d, text, index):
 
 
 @given(digraphs(), formula_text(max_leaves=6))
-@example(Digraph(2, frozenset({(1, 1)})), "( E x1 ! ( x1 in x1 ) )")  # memo keyed by x1's vertex
+@example(Digraph(2, frozenset({(1, 1)})), "( E x1 ! ( x1 in x1 ) )")
+@example(Digraph(2, frozenset({(2, 2)})), "( E x1 ( A x1 ( x1 in x1 ) ) )")  # re-quantified x1, also in env
+@example(Digraph(2, frozenset({(1, 1)})), "( A x2 ( x1 in x1 ) )")  # vacuous quantifier
+@example(Digraph(2, frozenset({(1, 1)})), "( x1 in x2 )")  # bare atom
+@example(Digraph(2, frozenset({(1, 1)})), "( x1 = x1 )")
 def test_cache_does_not_change_values(d, text):
     tree = parse_text(text)
     env = {set_var(i): 1 for i in range(1, 6)}
     expected = naive_evaluate(d, tree, env)
     assert evaluate(d, tree, env) == expected
+
+
+def test_a_dropped_tree_never_lends_its_plan():
+    # Plans are cached by tree identity; a new tree may reuse a dropped one's id.
+    d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
+    env = {set_var(i): i % 3 + 1 for i in range(1, 6)}
+    texts = [f"( E x{i} ( x{i} in x{j} ) )" for i in range(1, 6) for j in range(1, 6)]
+    texts += [f"( A x{i} ( x{j} = x{i} ) )" for i in range(1, 6) for j in range(1, 6)]
+    texts += [f"! ( x{i} in x{j} )" for i in range(1, 6) for j in range(1, 6)]
+    for text in texts * 2:
+        tree = parse_text(text)
+        assert evaluate(d, tree, env) == naive_evaluate(d, tree, env), text
+        del tree
