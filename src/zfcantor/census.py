@@ -1,14 +1,22 @@
 """Exhaustive counts of strongly extensive and Cantor digraphs on [n].
 
-Digraphs are enumerated in counter order: arrow (u, v) is present when
-bit (u-1)*n + (v-1) of the counter is set, for counters 0 to 2^(n*n)-1.
-All counts are over labeled digraphs.  Work splits into contiguous
-counter ranges, one per job, whose partial counts are summed; the
-result does not depend on the number of jobs.
+All counts are over labeled digraphs, and both properties are invariant
+under relabeling.  A digraph is a tuple of in-neighborhood masks (bit
+u-1 of ``masks[v-1]`` set when u -> v).  The counts come from
+degree-sorted representatives: the mask tuples whose (in-degree,
+out-degree) pairs are non-increasing.  Relabeling maps the digraphs
+with one arrangement of a multiset of pairs one-to-one onto those with
+any other arrangement, so each representative stands for n! / prod(m!)
+labeled digraphs, m running over the multiplicities of its pairs.  The
+weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
+raised.  Work splits into one task per in-degree sequence and first
+mask; the result does not depend on the number of jobs.
 
-The counting pass builds no ``Digraph``: it reads each counter's
-in-neighborhood masks through a per-row transpose table and hands them
-to the bitmask kernel in ``analysis``.
+Counter order, where arrow (u, v) is present when bit (u-1)*n + (v-1)
+of the counter is set, is used only to list the non-Cantor digraphs:
+that pass visits every counter from 0 to 2^(n*n)-1, each with weight 1,
+in one contiguous range per job.  Both passes build no ``Digraph`` and
+hand their masks to the bitmask kernel in ``analysis``.
 """
 from __future__ import annotations
 
@@ -16,6 +24,9 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import factorial
 from operator import or_
 from typing import Iterator
 
@@ -25,6 +36,10 @@ from .digraphs import Digraph
 
 DEFAULT_MAX_N = 4
 HARD_MAX_N = 5
+
+
+class CensusChecksumError(RuntimeError):
+    """The census's weights do not sum to 2^(n*n), the number of digraphs on [n]."""
 
 
 @dataclass(frozen=True)
@@ -61,15 +76,15 @@ def enumerate_digraphs(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[Digrap
         yield digraph_from_counter(n, counter)
 
 
-def _count_range(task: tuple[int, int, int, bool]) -> tuple[int, int, list[int]]:
-    """(strongly extensive, Cantor, non-Cantor counters if asked) over [start, stop).
+def _count_range(task: tuple[int, int, int]) -> tuple[int, int, int, list[int]]:
+    """(counters, strongly extensive, Cantor, non-Cantor counters) over [start, stop).
 
     Row u of the counter holds u's out-arrows, that is bit u-1 of every
     in-neighborhood mask.  ``column[r]`` spreads a row value r over the
     masks; rows 2..n change once per 2^n counters, so their masks are
     built once per block and only row 1 is added per counter.
     """
-    n, start, stop, collect = task
+    n, start, stop = task
     width = 1 << n
     column = [tuple(r >> v & 1 for v in range(n)) for r in range(width)]
     strongly_extensive = cantor = 0
@@ -86,9 +101,80 @@ def _count_range(task: tuple[int, int, int, bool]) -> tuple[int, int, list[int]]
                 strongly_extensive += 1
             if find_surjection(masks, pair_table(unique_vertices(masks))) is None:
                 cantor += 1
-            elif collect:
+            else:
                 non_cantor.append(offset + low)
-    return strongly_extensive, cantor, non_cantor
+    return stop - start, strongly_extensive, cantor, non_cantor
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Masks on [n] by popcount, and each mask spread to one 4-bit digit per vertex."""
+    by_degree = tuple(tuple(m for m in range(1 << n) if m.bit_count() == d) for d in range(n + 1))
+    spread = tuple(sum(1 << 4 * u for u in range(n) if m >> u & 1) for m in range(1 << n))
+    return by_degree, spread
+
+
+def _reduced_tasks(n: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(n, in-degrees, first mask) for every non-increasing in-degree sequence."""
+    by_degree = _tables(n)[0]
+    return [
+        (n, degrees, first)
+        for degrees in combinations_with_replacement(range(n, -1, -1), n)
+        for first in by_degree[degrees[0]]
+    ]
+
+
+def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, int, tuple]:
+    """(weight, strongly extensive, Cantor, ()) summed over one task's representatives.
+
+    A representative is a mask tuple with the task's in-degrees whose
+    (in-degree, out-degree) pairs are non-increasing.  Summing the
+    spread masks gives every out-degree as one digit of ``s``; one SWAR
+    compare checks digit i >= digit i+1 for every i whose in-degree ties
+    with the next.  Digits are at most n <= 7, so bit 3 of each digit is
+    a guard that absorbs the subtraction without a borrow.  Prefixes are
+    grouped by their partial sum, and a prefix of k masks is dropped as
+    soon as n-k more masks cannot repair a tie.
+    """
+    n, degrees, first = task
+    by_degree, spread = _tables(n)
+    lo = guard = 0
+    for i in range(n - 1):
+        if degrees[i] == degrees[i + 1]:
+            lo |= 7 << 4 * i
+            guard |= 8 << 4 * i
+    groups = {spread[first]: [(first,)]}
+    for k, d in enumerate(degrees[1:], 2):
+        slack = (n - k) * (guard >> 3)
+        grown: dict[int, list[tuple[int, ...]]] = {}
+        for t, prefixes in groups.items():
+            for m in by_degree[d]:
+                s = t + spread[m]
+                if ((s & lo) + slack | guard) - (s >> 4 & lo) & guard == guard:
+                    grown.setdefault(s, []).extend([p + (m,) for p in prefixes])
+        groups = grown
+    total = strongly_extensive = cantor = 0
+    for s, group in groups.items():
+        weight = _weight(n, degrees, s)
+        total += weight * len(group)
+        strongly_extensive += weight * sum(map(masks_strongly_extensive, group))
+        cantor += weight * sum(
+            find_surjection(masks, pair_table(unique_vertices(masks))) is None for masks in group
+        )
+    return total, strongly_extensive, cantor, ()
+
+
+def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
+    """n! over the factorials of the runs of equal (in-degree, out-degree) pairs."""
+    weight = factorial(n)
+    run = 1
+    for i in range(1, n):
+        if degrees[i] == degrees[i - 1] and (s >> 4 * i ^ s >> 4 * (i - 1)) & 15 == 0:
+            run += 1
+            weight //= run
+        else:
+            run = 1
+    return weight
 
 
 def census(
@@ -98,26 +184,32 @@ def census(
 
     At most ``min(jobs, os.cpu_count(), 2^(n*n))`` worker processes run;
     one job runs in this process.  With ``witnesses`` the row also lists
-    the non-Cantor counters, collected during the same pass.
+    the non-Cantor counters, collected by the counter-order pass.
     """
     _check_n(n, max_n)
     if jobs < 1:
         raise GuardExceeded(f"jobs must be >= 1, got {jobs}")
     total = 2 ** (n * n)
     jobs = min(jobs, os.cpu_count() or 1, total)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    tasks = [(n, bounds[i], bounds[i + 1], witnesses) for i in range(jobs)]
     start = time.perf_counter()
+    if witnesses:
+        bounds = [total * i // jobs for i in range(jobs + 1)]
+        tasks = [(n, bounds[i], bounds[i + 1]) for i in range(jobs)]
+        count = _count_range
+    else:
+        tasks = _reduced_tasks(n)
+        count = _count_reduced
     if jobs == 1:
-        parts = [_count_range(tasks[0])]
+        parts = [count(task) for task in tasks]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_count_range, tasks)
+            parts = pool.map(count, tasks, chunksize=1)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    strongly_extensive = sum(p[0] for p in parts)
-    cantor = sum(p[1] for p in parts)
+    weight, strongly_extensive, cantor = (sum(p[i] for p in parts) for i in range(3))
+    if weight != total:
+        raise CensusChecksumError(f"weights sum to {weight}, not 2^{n * n}")
+    non_cantor = tuple(c for p in parts for c in p[3])
     assert strongly_extensive <= cantor <= total
-    non_cantor = tuple(c for p in parts for c in p[2])
     return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)
 
 

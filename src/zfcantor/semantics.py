@@ -285,6 +285,8 @@ def evaluate(digraph: Digraph, tree: Formula, env: Mapping[Symbol, int] | None =
     unbound = [sym.token for sym in free if sym not in env]
     if unbound:
         raise UnboundVariable(f"variable {', '.join(sorted(unbound))} is not bound")
+    for vertex in env.values():
+        digraph.check_vertex(vertex)
     if digraph.n**width > MAX_TABLE_CELLS:
         raise SizeGuardExceeded(
             f"{width} quantified variables over {digraph.n} vertices need tables of"

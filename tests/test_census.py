@@ -1,3 +1,4 @@
+import importlib
 import multiprocessing
 import os
 import random
@@ -9,6 +10,7 @@ from naive import naive_census, naive_is_cantor, naive_is_strongly_extensive
 from zfcantor.analysis import DigraphAnalysis, is_strongly_extensive
 from zfcantor.cantor import emit_phi
 from zfcantor.census import (
+    CensusChecksumError,
     CensusRow,
     GuardExceeded,
     _count_range,
@@ -27,6 +29,7 @@ FROZEN = {
     2: (16, 5, 11),
     3: (512, 37, 388),
     4: (65536, 513, 53499),
+    5: (33554432, 10651, 29249616),
 }
 
 
@@ -72,8 +75,13 @@ class TestCensus:
     def test_frozen_n4(self):
         assert counts(census(4)) == FROZEN[4]
 
-    def test_jobs_do_not_change_counts(self):
+    def test_frozen_n5(self):
+        assert counts(census(5, max_n=5)) == FROZEN[5]
+
+    def test_jobs_do_not_change_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # real worker processes on any machine
         assert counts(census(2, jobs=1)) == counts(census(2, jobs=3))
+        assert counts(census(4, jobs=2)) == counts(census(4, jobs=1)) == FROZEN[4]
 
     def test_monotone_inequalities(self):
         for n in (1, 2, 3):
@@ -93,6 +101,21 @@ class TestCensus:
     def test_format_row(self):
         row = CensusRow(1, 2, 1, 1, 4.2)
         assert format_row(row) == "1\t2\t1\t1\t4"
+
+
+class TestReducedPass:
+    """The weighted degree-sorted representatives against the counter-order pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_counts_equal_the_counter_order_pass(self, n):
+        assert counts(census(n)) == counts(census(n, witnesses=True)) == FROZEN[n]
+
+    def test_weights_that_miss_a_digraph_raise(self, monkeypatch):
+        module = importlib.import_module("zfcantor.census")
+        tasks = module._reduced_tasks
+        monkeypatch.setattr(module, "_reduced_tasks", lambda n: tasks(n)[1:])
+        with pytest.raises(CensusChecksumError, match="not 2\\^9"):
+            census(3)
 
 
 class TestExamplesAreCounted:
@@ -144,7 +167,7 @@ class TestWorkerCount:
 
 def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
     """(strongly extensive, Cantor) for one counter, through the census pass."""
-    strongly_extensive, cantor, _ = _count_range((n, counter, counter + 1, False))
+    _, strongly_extensive, cantor, _ = _count_range((n, counter, counter + 1))
     return bool(strongly_extensive), bool(cantor)
 
 

@@ -120,6 +120,12 @@ class TestEval:
         code, _, err = run("eval", "--digraph", path, stdin="( x1 in x1 )")
         assert code == 1 and "invalid" in err
 
+    @pytest.mark.parametrize("assign", ["x1=-5", "x1=0", "x1=7,x2=7"])
+    def test_out_of_range_vertex_is_invalid(self, run, digraph_file, assign):
+        path = digraph_file(CHAIN2)
+        code, out, err = run("eval", "--digraph", path, "--assign", assign, stdin="( x1 = x1 )")
+        assert (code, out) == (1, "") and err.startswith("invalid:") and "outside [1, 2]" in err
+
     def test_bad_assignment_is_usage_error(self, run, digraph_file):
         path = digraph_file(CHAIN2)
         code, _, _ = run("eval", "--digraph", path, "--assign", "x1", stdin="( x1 in x1 )")

@@ -11,7 +11,7 @@ from naive import naive_evaluate
 from strategies import digraphs, formula_text, sentence_text
 from zfcantor.analysis import DigraphAnalysis
 from zfcantor.cantor import emit_phi
-from zfcantor.digraphs import Digraph, SizeGuardExceeded, all_loops, edgeless
+from zfcantor.digraphs import Digraph, SizeGuardExceeded, VertexOutOfRange, all_loops, edgeless
 from zfcantor.formulas import parse_text
 from zfcantor.semantics import (
     MAX_TABLE_CELLS,
@@ -57,6 +57,13 @@ class TestEvaluate:
             evaluate(edgeless(1), parse_text("( x1 in x2 )"), {X1: 1})
         with pytest.raises(UnboundVariable, match="x2"):  # even where the other disjunct decides
             evaluate(edgeless(1), parse_text("( ( x1 = x1 ) | ( x2 = x2 ) )"), {X1: 1})
+
+    def test_out_of_range_vertex_is_an_error(self):
+        tree = parse_text("( x1 = x1 )")
+        for env in ({X1: -5}, {X1: 0}, {X1: 3}, {X1: 7, X2: 7}, {X1: 1, X2: 3}):
+            with pytest.raises(VertexOutOfRange):
+                evaluate(edgeless(2), tree, env)
+        assert evaluate(edgeless(2), tree, {X1: 2}) is True
 
     def test_new_variables_evaluate_from_environment(self):
         d = Digraph(2, frozenset({(1, 2)}))
