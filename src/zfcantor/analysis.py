@@ -14,7 +14,7 @@ u -> v.  Vertices are looked up by their mask.  The ordered-pair table
 reads the realized masks of one or two bits, the only ones that can be
 doubletons, so it takes O(n) lookups; a pair vertex determines its two
 components uniquely, so the table is well defined.  The census feeds
-the kernel masks read straight from its counter, and
+the kernel the mask tuples of its representatives, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
 ``Digraph``.
 """

@@ -12,11 +12,13 @@ weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
 raised.  Work splits into one task per in-degree sequence and first
 mask; the result does not depend on the number of jobs.
 
-Counter order, where arrow (u, v) is present when bit (u-1)*n + (v-1)
-of the counter is set, is used only to list the non-Cantor digraphs:
-that pass visits every counter from 0 to 2^(n*n)-1, each with weight 1,
-in one contiguous range per job.  Both passes build no ``Digraph`` and
-hand their masks to the bitmask kernel in ``analysis``.
+The non-Cantor digraphs are listed by counter, where arrow (u, v) is
+present when bit (u-1)*n + (v-1) of the counter is set.  Every
+relabeling of a non-Cantor digraph is non-Cantor, and every non-Cantor
+digraph is a relabeling of a non-Cantor representative, so the list is
+the set of counters of the n! relabelings of each such representative,
+sorted.  The counting builds no ``Digraph`` and hands its masks to the
+bitmask kernel in ``analysis``.
 """
 from __future__ import annotations
 
@@ -25,9 +27,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import factorial
-from operator import or_
 from typing import Iterator
 
 from .analysis import SizeGuardExceeded as GuardExceeded  # census's name for it
@@ -39,7 +40,8 @@ HARD_MAX_N = 5
 
 
 class CensusChecksumError(RuntimeError):
-    """The census's weights do not sum to 2^(n*n), the number of digraphs on [n]."""
+    """The census's weights do not sum to 2^(n*n), the number of digraphs on [n],
+    or its counts break strongly extensive <= Cantor <= total."""
 
 
 @dataclass(frozen=True)
@@ -76,36 +78,6 @@ def enumerate_digraphs(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[Digrap
         yield digraph_from_counter(n, counter)
 
 
-def _count_range(task: tuple[int, int, int]) -> tuple[int, int, int, list[int]]:
-    """(counters, strongly extensive, Cantor, non-Cantor counters) over [start, stop).
-
-    Row u of the counter holds u's out-arrows, that is bit u-1 of every
-    in-neighborhood mask.  ``column[r]`` spreads a row value r over the
-    masks; rows 2..n change once per 2^n counters, so their masks are
-    built once per block and only row 1 is added per counter.
-    """
-    n, start, stop = task
-    width = 1 << n
-    column = [tuple(r >> v & 1 for v in range(n)) for r in range(width)]
-    strongly_extensive = cantor = 0
-    non_cantor: list[int] = []
-    for high in range(start >> n, (stop + width - 1) >> n):
-        base = [0] * n
-        for u in range(1, n):
-            row = column[high >> ((u - 1) * n) & (width - 1)]
-            base = [m | bit << u for m, bit in zip(base, row)]
-        offset = high << n
-        for low in range(max(start - offset, 0), min(stop - offset, width)):
-            masks = tuple(map(or_, base, column[low]))
-            if masks_strongly_extensive(masks):
-                strongly_extensive += 1
-            if find_surjection(masks, pair_table(unique_vertices(masks))) is None:
-                cantor += 1
-            else:
-                non_cantor.append(offset + low)
-    return stop - start, strongly_extensive, cantor, non_cantor
-
-
 @lru_cache(maxsize=None)
 def _tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Masks on [n] by popcount, and each mask spread to one 4-bit digit per vertex."""
@@ -124,8 +96,8 @@ def _reduced_tasks(n: int) -> list[tuple[int, tuple[int, ...], int]]:
     ]
 
 
-def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, int, tuple]:
-    """(weight, strongly extensive, Cantor, ()) summed over one task's representatives.
+def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, int, list]:
+    """(weight, strongly extensive, Cantor, non-Cantor masks) over one task's representatives.
 
     A representative is a mask tuple with the task's in-degrees whose
     (in-degree, out-degree) pairs are non-increasing.  Summing the
@@ -154,14 +126,15 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, in
                     grown.setdefault(s, []).extend([p + (m,) for p in prefixes])
         groups = grown
     total = strongly_extensive = cantor = 0
+    non_cantor: list[tuple[int, ...]] = []
     for s, group in groups.items():
         weight = _weight(n, degrees, s)
+        found = [m for m in group if find_surjection(m, pair_table(unique_vertices(m))) is not None]
         total += weight * len(group)
         strongly_extensive += weight * sum(map(masks_strongly_extensive, group))
-        cantor += weight * sum(
-            find_surjection(masks, pair_table(unique_vertices(masks))) is None for masks in group
-        )
-    return total, strongly_extensive, cantor, ()
+        cantor += weight * (len(group) - len(found))
+        non_cantor += found
+    return total, strongly_extensive, cantor, non_cantor
 
 
 def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
@@ -177,6 +150,13 @@ def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
     return weight
 
 
+def _relabelings(n: int, masks: tuple[int, ...]) -> Iterator[int]:
+    """The counter of each of the n! relabelings of a mask tuple (repeats included)."""
+    arrows = [(u, v) for v, m in enumerate(masks) for u in range(n) if m >> u & 1]
+    for perm in permutations(range(n)):
+        yield sum(1 << perm[u] * n + perm[v] for u, v in arrows)
+
+
 def census(
     n: int, jobs: int = 1, *, max_n: int = DEFAULT_MAX_N, witnesses: bool = False
 ) -> CensusRow:
@@ -184,7 +164,8 @@ def census(
 
     At most ``min(jobs, os.cpu_count(), 2^(n*n))`` worker processes run;
     one job runs in this process.  With ``witnesses`` the row also lists
-    the non-Cantor counters, collected by the counter-order pass.
+    the non-Cantor counters, the relabelings of the non-Cantor
+    representatives.
     """
     _check_n(n, max_n)
     if jobs < 1:
@@ -192,24 +173,20 @@ def census(
     total = 2 ** (n * n)
     jobs = min(jobs, os.cpu_count() or 1, total)
     start = time.perf_counter()
-    if witnesses:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [(n, bounds[i], bounds[i + 1]) for i in range(jobs)]
-        count = _count_range
-    else:
-        tasks = _reduced_tasks(n)
-        count = _count_reduced
+    tasks = _reduced_tasks(n)
     if jobs == 1:
-        parts = [count(task) for task in tasks]
+        parts = [_count_reduced(task) for task in tasks]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(count, tasks, chunksize=1)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+            parts = pool.map(_count_reduced, tasks, chunksize=1)
     weight, strongly_extensive, cantor = (sum(p[i] for p in parts) for i in range(3))
     if weight != total:
         raise CensusChecksumError(f"weights sum to {weight}, not 2^{n * n}")
-    non_cantor = tuple(c for p in parts for c in p[3])
-    assert strongly_extensive <= cantor <= total
+    if not strongly_extensive <= cantor <= total:
+        raise CensusChecksumError(f"counts {strongly_extensive} <= {cantor} <= {total} fail")
+    reps = (masks for p in parts for masks in p[3]) if witnesses else ()
+    non_cantor = tuple(sorted({c for masks in reps for c in _relabelings(n, masks)}))
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)
 
 

@@ -80,6 +80,8 @@ def _parse_assignment(spec: str | None) -> dict[Symbol, int]:
         word = tokenize(var_text.strip())
         if len(word) != 1 or not word[0].is_variable:
             raise CliError(f"bad assignment variable {var_text.strip()!r}")
+        if word[0] in env:
+            raise CliError(f"variable {var_text.strip()!r} is bound twice")
         try:
             env[word[0]] = int(vertex_text)
         except ValueError:

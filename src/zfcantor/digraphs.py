@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+# Most vertices a digraph file may declare: checks allocate per-vertex tables.
+MAX_VERTICES = 2**22
+
+
 class DigraphError(ValueError):
     pass
 
@@ -94,6 +98,8 @@ def load_digraph(text: str) -> Digraph:
                 raise BadHeader(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
             if n < 1:
                 raise BadHeader(f"line {lineno}: need at least one vertex")
+            if n > MAX_VERTICES:
+                raise SizeGuardExceeded(f"line {lineno}: {n} vertices exceed {MAX_VERTICES}")
             continue
         if len(fields) != 2:
             raise DigraphError(f"line {lineno}: expected `<u> <v>`, got {line!r}")

@@ -5,11 +5,25 @@ sharing only the Digraph data type and the parse-tree classes with the
 package.  Used to compute expected values that the tests then freeze,
 and to cross-check the table-driven implementation and the truth-table
 evaluator on small digraphs.
+
+``counter_order_census`` is the exception: it runs the package's
+bitmask kernel on every counter, with no symmetry reduction, as the
+oracle for the census's weighted representatives and its relabeled
+witness list.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
+from zfcantor.analysis import (
+    find_surjection,
+    in_masks,
+    masks_strongly_extensive,
+    pair_table,
+    unique_vertices,
+)
+from zfcantor.census import digraph_from_counter
 from zfcantor.digraphs import Digraph
 from zfcantor.formulas import And, Equality, Exists, Forall, Iff, Implies, Membership, Not, Or
 
@@ -167,3 +181,26 @@ def naive_census(n: int) -> tuple[int, int, int]:
         if naive_is_cantor(d):
             cantor += 1
     return total, strongly_extensive, cantor
+
+
+def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
+    """(strongly extensive, Cantor) for one counter, through the bitmask kernel."""
+    masks = in_masks(digraph_from_counter(n, counter))
+    cantor = find_surjection(masks, pair_table(unique_vertices(masks))) is None
+    return masks_strongly_extensive(masks), cantor
+
+
+@lru_cache(maxsize=None)
+def counter_order_census(n: int) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+    """((total, strongly extensive, Cantor), non-Cantor counters) over every counter."""
+    total = 2 ** (n * n)
+    strongly_extensive = cantor = 0
+    non_cantor = []
+    for counter in range(total):
+        is_strongly_extensive, is_cantor = kernel_verdicts(n, counter)
+        strongly_extensive += is_strongly_extensive
+        if is_cantor:
+            cantor += 1
+        else:
+            non_cantor.append(counter)
+    return (total, strongly_extensive, cantor), tuple(non_cantor)

@@ -6,14 +6,19 @@ from itertools import islice
 
 import pytest
 
-from naive import naive_census, naive_is_cantor, naive_is_strongly_extensive
+from naive import (
+    counter_order_census,
+    kernel_verdicts,
+    naive_census,
+    naive_is_cantor,
+    naive_is_strongly_extensive,
+)
 from zfcantor.analysis import DigraphAnalysis, is_strongly_extensive
 from zfcantor.cantor import emit_phi
 from zfcantor.census import (
     CensusChecksumError,
     CensusRow,
     GuardExceeded,
-    _count_range,
     census,
     digraph_from_counter,
     enumerate_digraphs,
@@ -104,17 +109,32 @@ class TestCensus:
 
 
 class TestReducedPass:
-    """The weighted degree-sorted representatives against the counter-order pass."""
+    """The weighted degree-sorted representatives against the counter-order oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_equal_the_counter_order_pass(self, n):
-        assert counts(census(n)) == counts(census(n, witnesses=True)) == FROZEN[n]
+        oracle_counts, oracle_non_cantor = counter_order_census(n)
+        row = census(n, witnesses=True)
+        assert counts(census(n)) == counts(row) == oracle_counts == FROZEN[n]
+        assert row.non_cantor == oracle_non_cantor
+
+    def test_witnesses_do_not_depend_on_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # real worker processes on any machine
+        row = census(4, witnesses=True, jobs=2)
+        assert counts(row) == FROZEN[4]
+        assert row.non_cantor == counter_order_census(4)[1]
 
     def test_weights_that_miss_a_digraph_raise(self, monkeypatch):
         module = importlib.import_module("zfcantor.census")
         tasks = module._reduced_tasks
         monkeypatch.setattr(module, "_reduced_tasks", lambda n: tasks(n)[1:])
         with pytest.raises(CensusChecksumError, match="not 2\\^9"):
+            census(3)
+
+    def test_counts_out_of_order_raise(self, monkeypatch):
+        module = importlib.import_module("zfcantor.census")
+        monkeypatch.setattr(module, "masks_strongly_extensive", lambda masks: True)
+        with pytest.raises(CensusChecksumError, match="counts 512 <= 388 <= 512 fail"):
             census(3)
 
 
@@ -163,12 +183,6 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert counts(census(2, jobs=8)) == FROZEN[2]
         assert StubPool.sizes == []
-
-
-def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
-    """(strongly extensive, Cantor) for one counter, through the census pass."""
-    _, strongly_extensive, cantor, _ = _count_range((n, counter, counter + 1))
-    return bool(strongly_extensive), bool(cantor)
 
 
 class TestKernelAgainstOracles:

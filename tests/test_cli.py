@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zfcantor.analysis import omega_prefix
 from zfcantor.cantor import SENTENCE_LENGTH
 from zfcantor.cli import main
-from zfcantor.digraphs import dump_digraph, load_digraph
+from zfcantor.digraphs import MAX_VERTICES, dump_digraph, load_digraph
 from zfcantor.formulas import parse, tokenize
 from zfcantor.semantics import evaluate
 from zfcantor.symbols import set_var
@@ -131,6 +131,14 @@ class TestEval:
         code, _, _ = run("eval", "--digraph", path, "--assign", "x1", stdin="( x1 in x1 )")
         assert code == 2
 
+    def test_variable_bound_twice_is_usage_error(self, run, digraph_file):
+        path = digraph_file(CHAIN2)
+        code, out, err = run(
+            "eval", "--digraph", path, "--assign", "x1=1,x2=2,x1=2", stdin="( x1 in x2 )"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: variable 'x1' is bound twice\n"
+
 
 class TestDigraphVerbs:
     def test_is_cantor_false_with_witness(self, run, digraph_file):
@@ -247,6 +255,17 @@ class TestCensusVerb:
 
 
 class TestInputGuards:
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 99999999999])
+    @pytest.mark.parametrize("verb", ["is-cantor", "is-strongly-extensive"])
+    def test_huge_vertex_header_is_invalid(self, run, digraph_file, verb, n):
+        path = digraph_file(f"vertices {n}\n")
+        code, out, err = run(verb, "--digraph", path)
+        assert (code, out) == (1, "")
+        assert err == f"invalid: line 1: {n} vertices exceed {MAX_VERTICES}\n"
+
+    def test_largest_vertex_header_loads(self):
+        assert load_digraph(f"vertices {MAX_VERTICES}\n").n == MAX_VERTICES
+
     @pytest.mark.parametrize("text", [DEEP_NEGATIONS, DEEP_QUANTIFIERS], ids=["negations", "quantifiers"])
     def test_deep_nesting_is_invalid(self, run, text):
         code, out, err = run("parse", stdin=text)
