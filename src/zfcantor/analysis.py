@@ -28,10 +28,6 @@ from .digraphs import Digraph, SizeGuardExceeded  # re-exported: the one guard e
 from .formulas import ArityMismatch, UnknownPredicate
 from .semantics import evaluate_sentence
 
-# Most vertices the phi method of is_cantor accepts: on random digraphs the
-# sentence takes about 10 ms at 12 vertices and 40 ms at 16 (2-CPU Xeon VM,
-# Python 3.11); above 16, its 5-axis tables exceed semantics.MAX_TABLE_CELLS.
-PHI_MAX_VERTICES = 12
 # Most levels of the strongly extensive construction: level 4 ends at
 # vertex 2059, and level 5 would add 2^2059 vertices.
 OMEGA_MAX_LEVELS = 4
@@ -276,6 +272,7 @@ class DigraphAnalysis:
     # -- derived operations --------------------------------------------------
 
     def d_power_set(self, u: int) -> frozenset[int]:
+        self.digraph.check_vertex(u)
         return mask_vertices(power_mask(self.masks, u))
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
@@ -325,7 +322,6 @@ def in_neighbors(digraph: Digraph, u: int) -> frozenset[int]:
 
 
 def d_power_set(digraph: Digraph, u: int) -> frozenset[int]:
-    digraph.check_vertex(u)
     return DigraphAnalysis(digraph).d_power_set(u)
 
 
@@ -347,17 +343,13 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
 
     The semantic method scans all vertex pairs with the predicate
     implementation; the sentence method evaluates the 494-symbol Cantor
-    sentence and rejects digraphs above PHI_MAX_VERTICES vertices with
-    SizeGuardExceeded.  The two agree on every digraph.
+    sentence, whose 5-axis truth tables fit semantics.MAX_TABLE_CELLS up
+    to 16 vertices, and raises SizeGuardExceeded above.  The two agree
+    on every digraph.
     """
     if method == "semantic":
         return DigraphAnalysis(digraph).is_cantor()
     if method == "phi":
-        if digraph.n > PHI_MAX_VERTICES:
-            raise SizeGuardExceeded(
-                f"{digraph.n} vertices exceed the guard {PHI_MAX_VERTICES} of the phi method;"
-                " use the semantic method"
-            )
         return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 

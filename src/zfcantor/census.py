@@ -10,7 +10,9 @@ any other arrangement, so each representative stands for n! / prod(m!)
 labeled digraphs, m running over the multiplicities of its pairs.  The
 weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
 raised.  Work splits into one task per in-degree sequence and first
-mask; the result does not depend on the number of jobs.
+mask; the result does not depend on the number of jobs.  The size
+bound is n <= 5 (``HARD_MAX_N``): n = 6 has 96,928,992 digraphs even
+up to relabeling, out of reach of this pass.
 
 The non-Cantor digraphs are listed by counter, where arrow (u, v) is
 present when bit (u-1)*n + (v-1) of the counter is set.  Every
@@ -31,11 +33,9 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 from typing import Iterator
 
-from .analysis import SizeGuardExceeded as GuardExceeded  # census's name for it
 from .analysis import find_surjection, masks_strongly_extensive, pair_table, unique_vertices
-from .digraphs import Digraph
+from .digraphs import Digraph, SizeGuardExceeded
 
-DEFAULT_MAX_N = 4
 HARD_MAX_N = 5
 
 
@@ -55,10 +55,9 @@ class CensusRow:
     non_cantor: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
 
-def _check_n(n: int, max_n: int) -> None:
-    limit = min(max_n, HARD_MAX_N)
-    if not (1 <= n <= limit):
-        raise GuardExceeded(f"n={n} is outside [1, {limit}] (raise max_n up to {HARD_MAX_N})")
+def _check_n(n: int) -> None:
+    if not (1 <= n <= HARD_MAX_N):
+        raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
 
 
 def digraph_from_counter(n: int, counter: int) -> Digraph:
@@ -71,9 +70,9 @@ def digraph_from_counter(n: int, counter: int) -> Digraph:
     return Digraph(n, arrows)
 
 
-def enumerate_digraphs(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[Digraph]:
+def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     """All 2^(n*n) labeled digraphs on [n], in counter order."""
-    _check_n(n, max_n)
+    _check_n(n)
     for counter in range(2 ** (n * n)):
         yield digraph_from_counter(n, counter)
 
@@ -157,23 +156,22 @@ def _relabelings(n: int, masks: tuple[int, ...]) -> Iterator[int]:
         yield sum(1 << perm[u] * n + perm[v] for u, v in arrows)
 
 
-def census(
-    n: int, jobs: int = 1, *, max_n: int = DEFAULT_MAX_N, witnesses: bool = False
-) -> CensusRow:
-    """Count strongly extensive and Cantor digraphs on [n].
+def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
+    """Count strongly extensive and Cantor digraphs on [n], 1 <= n <= 5.
 
-    At most ``min(jobs, os.cpu_count(), 2^(n*n))`` worker processes run;
-    one job runs in this process.  With ``witnesses`` the row also lists
-    the non-Cantor counters, the relabelings of the non-Cantor
-    representatives.
+    At most ``min(jobs, os.cpu_count(), number of tasks)`` worker
+    processes run, the tasks numbering 2, 8, 38, 192 and 1002 for
+    n = 1..5; one job runs in this process.  With ``witnesses`` the row
+    also lists the non-Cantor counters, the relabelings of the
+    non-Cantor representatives.
     """
-    _check_n(n, max_n)
+    _check_n(n)
     if jobs < 1:
-        raise GuardExceeded(f"jobs must be >= 1, got {jobs}")
+        raise SizeGuardExceeded(f"jobs must be >= 1, got {jobs}")
     total = 2 ** (n * n)
-    jobs = min(jobs, os.cpu_count() or 1, total)
     start = time.perf_counter()
     tasks = _reduced_tasks(n)
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
     if jobs == 1:
         parts = [_count_reduced(task) for task in tasks]
     else:
@@ -188,12 +186,6 @@ def census(
     non_cantor = tuple(sorted({c for masks in reps for c in _relabelings(n, masks)}))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)
-
-
-def non_cantor_digraphs(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, Digraph]]:
-    """The non-Cantor digraphs on [n] with their counters, in counter order."""
-    for counter in census(n, max_n=max_n, witnesses=True).non_cantor:
-        yield counter, digraph_from_counter(n, counter)
 
 
 def format_row(row: CensusRow) -> str:

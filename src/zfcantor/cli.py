@@ -51,13 +51,18 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def _formula_lines(args) -> list[str]:
+def _formula_text(args) -> str:
     text = _strip_comments(_read_source(args.formula))
-    if args.lines:
-        return [line for line in text.splitlines() if line.strip()]
     if not text.strip():
         raise CliError("no formula given")
-    return [text]
+    return text
+
+
+def _formula_lines(args) -> list[str]:
+    if args.lines:
+        text = _strip_comments(_read_source(args.formula))
+        return [line for line in text.splitlines() if line.strip()]
+    return [_formula_text(args)]
 
 
 def _load_digraph_arg(args) -> Digraph:
@@ -144,10 +149,7 @@ def cmd_emit_phi(args) -> int:
 
 def cmd_eval(args) -> int:
     digraph = _load_digraph_arg(args)
-    lines = _formula_lines(args)
-    if len(lines) != 1:
-        raise CliError("eval takes exactly one formula")
-    tree = parse(tokenize(lines[0]))
+    tree = parse(tokenize(_formula_text(args)))
     value = evaluate(digraph, tree, _parse_assignment(args.assign))
     print(f"eval {'true' if value else 'false'}")
     return 0 if value else FALSE_VERDICT
@@ -238,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", cmd_eval, help="evaluate a formula in a digraph")
     p.add_argument("--digraph", required=True)
     p.add_argument("--formula", help="formula file ('-' or omitted: stdin)")
-    p.add_argument("--lines", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--assign", help="variable bindings, e.g. x1=3,x2=1")
 
     p = add("is-cantor", cmd_is_cantor, help="check the Cantor property of a digraph")

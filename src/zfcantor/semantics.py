@@ -46,8 +46,8 @@ from .formulas import (
 )
 from .symbols import EXISTS, Symbol
 
-# Most cells of any truth table: the Cantor sentence at 12 vertices needs
-# 12^5 = 248,832, and 2^20 cells are 128 KB per table.
+# Most cells of any truth table: the Cantor sentence at 16 vertices needs
+# 16^5 = 2^20, and 2^20 cells are 128 KB per table.
 MAX_TABLE_CELLS = 2**20
 
 

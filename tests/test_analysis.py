@@ -9,7 +9,6 @@ from zfcantor.analysis import (
     ArityMismatch,
     DigraphAnalysis,
     NotASurjection,
-    PHI_MAX_VERTICES,
     SizeGuardExceeded,
     cantor_witness,
     d_power_set,
@@ -47,6 +46,13 @@ class TestNeighborhoods:
 class TestDPowerSet:
     def test_edgeless_everything_is_a_subset(self):
         assert d_power_set(edgeless(2), 1) == {1, 2}
+
+    def test_vertex_out_of_range(self):
+        for u in (0, 4):
+            with pytest.raises(VertexOutOfRange):
+                DigraphAnalysis(edgeless(3)).d_power_set(u)
+            with pytest.raises(VertexOutOfRange):
+                d_power_set(edgeless(3), u)
 
     def test_all_loops_only_self(self):
         assert d_power_set(all_loops(2), 1) == {1}
@@ -159,11 +165,22 @@ class TestIsCantor:
             is_cantor(edgeless(1), "magic")
 
     def test_phi_method_size_guard(self):
-        assert is_cantor(edgeless(PHI_MAX_VERTICES), "phi") is True
-        big = edgeless(PHI_MAX_VERTICES + 1)
-        with pytest.raises(SizeGuardExceeded, match="phi method"):
+        # the sentence's 5-axis tables: 16^5 = 2^20 cells fit MAX_TABLE_CELLS, 17^5 do not
+        assert is_cantor(edgeless(16), "phi") is True
+        big = edgeless(17)
+        with pytest.raises(SizeGuardExceeded, match="over 17 vertices need tables of 17\\^5 cells"):
             is_cantor(big, "phi")
         assert is_cantor(big, "semantic") is True
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_phi_method_matches_semantic_up_to_16_vertices(self, n):
+        # the first three digraphs of each verdict from a seeded stream
+        digraphs = list(sparse_digraphs(100, seed=n, sizes=(n, n)))
+        for verdict in (True, False):
+            chosen = [d for d in digraphs if is_cantor(d, "semantic") is verdict][:3]
+            assert len(chosen) == 3
+            for d in chosen:
+                assert is_cantor(d, "phi") is verdict, d
 
     def test_matches_naive_oracle_at_n2(self):
         for counter in range(16):
@@ -171,11 +188,14 @@ class TestIsCantor:
             assert is_cantor(d, "semantic") == naive_is_cantor(d)
 
 
-def sparse_digraphs(count, seed):
-    """Seeded digraphs on 6 to 8 vertices with in-degrees 0 to 2; about half have pair vertices."""
+def sparse_digraphs(count, seed, sizes=(6, 8)):
+    """Seeded digraphs on sizes[0] to sizes[1] vertices with in-degrees 0 to 2.
+
+    On 6 to 8 vertices about half have pair vertices.
+    """
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(6, 8)
+        n = rng.randint(*sizes)
         degrees = rng.choice(((0, 1, 2), (1, 1, 2)))
         vertices = range(1, n + 1)
         yield Digraph(

@@ -18,14 +18,12 @@ from zfcantor.cantor import emit_phi
 from zfcantor.census import (
     CensusChecksumError,
     CensusRow,
-    GuardExceeded,
     census,
     digraph_from_counter,
     enumerate_digraphs,
     format_row,
-    non_cantor_digraphs,
 )
-from zfcantor.digraphs import Digraph
+from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.semantics import evaluate_sentence
 
 # frozen regression constants, established once by the brute-force oracle
@@ -60,13 +58,11 @@ class TestEnumeration:
         assert len(seen) == 16
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            list(enumerate_digraphs(5))
-        with pytest.raises(GuardExceeded):
-            list(enumerate_digraphs(0))
-        with pytest.raises(GuardExceeded):
-            list(enumerate_digraphs(6, max_n=5))
-        assert len(list(islice(enumerate_digraphs(5, max_n=5), 3))) == 3
+        with pytest.raises(SizeGuardExceeded, match="outside \\[1, 5\\]"):
+            next(enumerate_digraphs(6))
+        with pytest.raises(SizeGuardExceeded):
+            next(enumerate_digraphs(0))
+        assert len(list(islice(enumerate_digraphs(5), 3))) == 3
 
 
 class TestCensus:
@@ -81,7 +77,7 @@ class TestCensus:
         assert counts(census(4)) == FROZEN[4]
 
     def test_frozen_n5(self):
-        assert counts(census(5, max_n=5)) == FROZEN[5]
+        assert counts(census(5)) == FROZEN[5]
 
     def test_jobs_do_not_change_counts(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # real worker processes on any machine
@@ -100,7 +96,7 @@ class TestCensus:
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             census(1, jobs=0)
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(SizeGuardExceeded):
             census(2, jobs=-3)
 
     def test_format_row(self):
@@ -170,12 +166,17 @@ class TestWorkerCount:
         StubPool.sizes = []
         monkeypatch.setattr(multiprocessing, "Pool", StubPool)
 
-    def test_capped_by_cpu_count_and_total(self, monkeypatch):
+    def test_capped_by_cpu_count_and_task_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for n, jobs in ((2, 10**9), (1, 8), (2, 2)):
             with pytest.raises(RuntimeError):
                 census(n, jobs=jobs)
-        assert StubPool.sizes == [3, 2, 2]
+        # 2, 8, 38 and 192 tasks for n = 1..4, fewer than the 2^(n*n) digraphs
+        monkeypatch.setattr(os, "cpu_count", lambda: 256)
+        for n in (1, 2, 3, 4):
+            with pytest.raises(RuntimeError):
+                census(n, jobs=256)
+        assert StubPool.sizes == [3, 2, 2, 2, 8, 38, 192]
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -211,7 +212,5 @@ class TestKernelAgainstOracles:
 
     def test_witnesses_match_the_counting_pass(self):
         row = census(3, witnesses=True)
-        listed = [counter for counter, _ in non_cantor_digraphs(3)]
-        assert list(row.non_cantor) == listed
-        assert len(listed) == row.total - row.cantor
+        assert len(row.non_cantor) == row.total - row.cantor
         assert census(3).non_cantor == ()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zfcantor.analysis import omega_prefix
 from zfcantor.cantor import SENTENCE_LENGTH
 from zfcantor.cli import main
-from zfcantor.digraphs import MAX_VERTICES, dump_digraph, load_digraph
+from zfcantor.digraphs import MAX_VERTICES, all_loops, dump_digraph, load_digraph
 from zfcantor.formulas import parse, tokenize
 from zfcantor.semantics import evaluate
 from zfcantor.symbols import set_var
@@ -115,6 +115,11 @@ class TestEval:
         code, out, _ = run("eval", "--digraph", path, "--assign", "x1=1", stdin="( x1 in x1 )")
         assert (code, out.strip()) == (1, "eval false")
 
+    def test_lines_flag_is_usage_error(self, run, digraph_file):
+        path = digraph_file(CHAIN2)
+        code, out, _ = run("eval", "--digraph", path, "--lines", stdin="( x1 = x1 )\n")
+        assert (code, out) == (2, "")
+
     def test_unbound_variable_is_invalid(self, run, digraph_file):
         path = digraph_file(CHAIN2)
         code, _, err = run("eval", "--digraph", path, stdin="( x1 in x1 )")
@@ -209,6 +214,9 @@ class TestErrors:
         code, _, err = run("census", "--n", "9")
         assert code == 1 and "invalid" in err
 
+    def test_census_above_five_is_invalid(self, run):
+        assert run("census", "--n", "6") == (1, "", "invalid: n=6 is outside [1, 5]\n")
+
 
 LIST_WITNESSES_N2 = """\
 # digraph 7
@@ -276,7 +284,17 @@ class TestInputGuards:
         path = digraph_file(PATH3000)
         code, out, err = run("is-cantor", "--digraph", path, "--method", "phi")
         assert (code, out) == (1, "")
-        assert err.startswith("invalid: 3000 vertices exceed the guard")
+        assert err.startswith("invalid: 5 quantified variables over 3000 vertices")
+
+    def test_phi_method_answers_up_to_16_vertices(self, run, digraph_file):
+        path = digraph_file(dump_digraph(all_loops(16)))
+        expected = (1, "is-cantor false\nwitness u=1 v=1\n", "")
+        assert run("is-cantor", "--digraph", path, "--method", "phi") == expected
+        assert run("is-cantor", "--digraph", path) == expected
+        path = digraph_file(dump_digraph(all_loops(17)))
+        code, out, err = run("is-cantor", "--digraph", path, "--method", "phi")
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: 5 quantified variables over 17 vertices")
 
     def test_wide_formula_on_a_long_path_is_invalid(self, run, digraph_file):
         path = digraph_file(PATH3000)
