@@ -13,7 +13,6 @@ from .analysis import (
     cantor_witness,
     d_power_set,
     extract_surjection,
-    in_neighbors,
     is_cantor,
     is_strongly_extensive,
     omega_level_ranges,

@@ -8,15 +8,15 @@ of the corresponding singleton and doubleton vertices.  Subset
 containment is non-strict throughout, so every vertex is a subset of
 itself.
 
-All checks run on one bitmask kernel.  A digraph on [n] is the sequence
-of its in-neighborhood masks: bit u-1 of ``masks[v-1]`` is set when
-u -> v.  Vertices are looked up by their mask.  The ordered-pair table
-reads the realized masks of one or two bits, the only ones that can be
-doubletons, so it takes O(n) lookups; a pair vertex determines its two
-components uniquely, so the table is well defined.  The census feeds
-the kernel the mask tuples of its representatives, and
-``DigraphAnalysis`` is a view of the kernel's tables for one
-``Digraph``.
+All checks run on one bitmask kernel over the in-neighborhood masks
+that ``Digraph.masks`` builds once per digraph.  Vertices are looked up
+by their mask.  The ordered-pair table reads the realized masks of one
+or two bits, the only ones that can be doubletons, so it takes O(n)
+lookups; a pair vertex determines its two components uniquely, so the
+table is well defined.  The census feeds the kernel the mask tuples of
+its representatives, and ``DigraphAnalysis`` is a view of the kernel's
+tables for one ``Digraph``.  ``omega_prefix`` writes the construction in
+closed form: vertex v of level [lo, hi] has the in-mask v - lo.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
 from .cantor import PREDICATE_ARITIES, emit_phi
-from .digraphs import Digraph, SizeGuardExceeded  # re-exported: the one guard error
+from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
 from .formulas import ArityMismatch, UnknownPredicate
 from .semantics import evaluate_sentence
 
@@ -70,19 +70,6 @@ class SurjectionWitness:
 
 # ---------------------------------------------------------------------------
 # The bitmask kernel
-
-
-def in_masks(digraph: Digraph) -> list[int]:
-    """The in-neighborhood masks of a digraph, vertex 1 first."""
-    masks = [0] * digraph.n
-    for u, v in digraph.arrows:
-        masks[v - 1] |= 1 << (u - 1)
-    return masks
-
-
-def mask_vertices(mask: int) -> frozenset[int]:
-    """The vertices whose bits are set in mask."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def unique_vertices(masks) -> dict[int, int]:
@@ -229,13 +216,13 @@ def masks_strongly_extensive(masks) -> bool:
 class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
-    Builds the in-neighborhood masks, the unique-vertex map and the
+    Reads ``Digraph.masks`` and builds the unique-vertex map and the
     ordered-pair table once; the predicate methods are lookups into them.
     """
 
     def __init__(self, digraph: Digraph):
         self.digraph = digraph
-        self.masks = in_masks(digraph)
+        self.masks = digraph.masks
         self._the = unique_vertices(self.masks)
         self._pairs = pair_table(self._the)
 
@@ -317,10 +304,6 @@ class DigraphAnalysis:
 # Module-level wrappers
 
 
-def in_neighbors(digraph: Digraph, u: int) -> frozenset[int]:
-    return digraph.in_neighbors(u)
-
-
 def d_power_set(digraph: Digraph, u: int) -> frozenset[int]:
     return DigraphAnalysis(digraph).d_power_set(u)
 
@@ -365,7 +348,7 @@ def is_strongly_extensive(digraph: Digraph) -> bool:
     distinct subsets cannot all be realized by n vertices; so at most n
     subsets of each in-neighborhood are enumerated.
     """
-    return masks_strongly_extensive(in_masks(digraph))
+    return masks_strongly_extensive(digraph.masks)
 
 
 def omega_level_ranges(levels: int) -> tuple[tuple[int, int], ...]:
@@ -395,9 +378,10 @@ def omega_prefix(levels: int) -> Digraph:
 
     Level 1 is the single vertex 1 with no arrows.  Each next level adds
     one vertex per subset of all previous vertices, wired so that the
-    new vertex's in-neighborhood is exactly that subset.  Subsets are
-    enumerated in binary-counter order over the previous vertices sorted
-    ascending: the empty set first, then {min}, and so on.
+    new vertex's in-neighborhood is exactly that subset.  The previous
+    vertices of level [lo, hi] are 1..lo-1, and vertex v gets the in-mask
+    v - lo: the subsets come in binary-counter order, the empty set
+    first, then {1}, and so on.
 
     A prefix is built once while any caller holds it, and that digraph
     is shared: it is immutable.  The cache holds it weakly, so a 2059-vertex
@@ -407,15 +391,9 @@ def omega_prefix(levels: int) -> Digraph:
     if cached is not None:
         return cached
     ranges = omega_level_ranges(levels)
-    arrows: set[tuple[int, int]] = set()
-    previous: list[int] = [1]
-    for lo, hi in ranges[1:]:
-        ground = sorted(previous)
-        for i, newv in enumerate(range(lo, hi + 1)):
-            for j, member in enumerate(ground):
-                if i >> j & 1:
-                    arrows.add((member, newv))
-        previous.extend(range(lo, hi + 1))
-    prefix = Digraph(ranges[-1][1], frozenset(arrows))
+    arrows = frozenset(
+        (u, v) for lo, hi in ranges[1:] for v in range(lo, hi + 1) for u in mask_vertices(v - lo)
+    )
+    prefix = Digraph(ranges[-1][1], arrows)
     _omega_prefixes[levels] = prefix
     return prefix

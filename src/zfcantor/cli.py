@@ -38,13 +38,15 @@ class CliError(Exception):
 
 
 def _read_source(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
     try:
+        if path is None or path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path or 'stdin'}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def _strip_comments(text: str) -> str:

@@ -1,9 +1,10 @@
 """Finite digraphs on vertex set 1..n and their file format.
 
 An arrow (u, v) reads "u is an element of v": u contributes to the
-in-neighborhood N(v).  The file format is a header line ``vertices <n>``
-followed by one arrow per line ``<u> <v>``; ``#`` starts a comment line
-and blank lines are ignored.
+in-neighborhood N(v).  ``Digraph.masks`` holds every N(v) as an integer
+mask: bit u-1 of ``masks[v-1]`` is set when u -> v.  The file format is
+a header line ``vertices <n>`` followed by one arrow per line ``<u> <v>``;
+``#`` starts a comment line and blank lines are ignored.
 """
 from __future__ import annotations
 
@@ -62,14 +63,25 @@ class Digraph:
     def in_neighbors(self, u: int) -> frozenset[int]:
         """The set of elements of u, that is {v : v -> u}."""
         self.check_vertex(u)
-        return self._nbhd[u - 1]
+        return mask_vertices(self.masks[u - 1])
 
     @cached_property
-    def _nbhd(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n)]
+    def masks(self) -> tuple[int, ...]:
+        """The in-neighborhood masks, vertex 1 first; built once per digraph."""
+        masks = [0] * self.n
         for u, v in self.arrows:
-            sets[v - 1].add(u)
-        return tuple(frozenset(s) for s in sets)
+            masks[v - 1] |= 1 << (u - 1)
+        return tuple(masks)
+
+
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in mask."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length())
+        mask ^= low
+    return frozenset(vertices)
 
 
 def all_loops(n: int) -> Digraph:

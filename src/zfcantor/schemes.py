@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .digraphs import SizeGuardExceeded
 from .formulas import (
     Formula,
     Quantifier,
@@ -32,6 +33,10 @@ from .symbols import PredicateSignature, Symbol, SymbolKind, new_var
 
 INDEXED_PARAMS = tuple(new_var(f"y{i}") for i in range(1, 10))
 LETTER_PARAMS = (new_var("x"), new_var("y"), new_var("z"))
+
+# Most symbols in all expansions of one scheme: each shortcut can double an
+# earlier expansion.  The built-in scheme expands to 1,217 symbols.
+MAX_EXPANSION_SYMBOLS = 2**16
 
 
 class SchemeError(ValueError):
@@ -81,10 +86,6 @@ class Shortcut:
     def arity(self) -> int:
         return len(self.params)
 
-    @property
-    def signature(self) -> PredicateSignature:
-        return PredicateSignature(self.name, self.arity)
-
 
 @dataclass(frozen=True)
 class Scheme:
@@ -105,10 +106,6 @@ class Scheme:
             if sc.name == name:
                 return i
         raise KeyError(name)
-
-    @property
-    def signatures(self) -> tuple[PredicateSignature, ...]:
-        return tuple(sc.signature for sc in self.shortcuts)
 
 
 def _check_params(sc: Shortcut) -> None:
@@ -211,17 +208,26 @@ def expand(scheme: Scheme) -> list[Formula]:
 
     The first body is its own expansion.  Each later body has every
     predicate atom replaced, in place, by the referenced expansion with
-    its parameters renamed to the atom's arguments.
+    its parameters renamed to the atom's arguments.  The length of each
+    expansion is known before it is spliced, and SizeGuardExceeded is
+    raised once the expansions together pass MAX_EXPANSION_SYMBOLS.
     """
     sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
     words: list[Word] = []
+    total = 0
     for sc in scheme.shortcuts:
         body_word = render(sc.body)
         body_tree = parse(body_word, sigs)
+        atoms = [(atom, scheme.index_of(atom.name)) for atom in predicate_atoms(body_tree)]
+        total += len(body_word) + sum(len(words[k - 1]) - len(atom) for atom, k in atoms)
+        if total > MAX_EXPANSION_SYMBOLS:
+            raise SizeGuardExceeded(
+                f"{sc.name}: the expansions reach {total} symbols, over the guard"
+                f" {MAX_EXPANSION_SYMBOLS}"
+            )
         host_binders = _binder_indices(body_tree)
         patches = []
-        for atom in predicate_atoms(body_tree):
-            k = scheme.index_of(atom.name)
+        for atom, k in atoms:
             source = scheme.shortcuts[k - 1]
             inserted = sub1(words[k - 1], dict(zip(source.params, atom.args)))
             _check_substitutable(sc.name, inserted, host_binders, atom.args)

@@ -265,7 +265,7 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
             _, _, mem, i, bound_is_left = ins
             c = values[i]
             if not mem:
-                push(1 << (c - 1) if c in digraph.vertices else 0)
+                push(1 << (c - 1))
             elif bound_is_left:
                 push(_table(n, [v - 1 for u, v in arrows if u == c]))
             else:

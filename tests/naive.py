@@ -18,8 +18,8 @@ from itertools import combinations
 
 from zfcantor.analysis import (
     find_surjection,
-    in_masks,
     masks_strongly_extensive,
+    omega_level_ranges,
     pair_table,
     unique_vertices,
 )
@@ -163,6 +163,21 @@ def naive_is_strongly_extensive(d: Digraph) -> bool:
     return True
 
 
+def naive_omega_prefix(levels: int) -> Digraph:
+    """The strongly extensive construction by looping over subsets of the sorted earlier vertices."""
+    ranges = omega_level_ranges(levels)
+    arrows: set[tuple[int, int]] = set()
+    previous: list[int] = [1]
+    for lo, hi in ranges[1:]:
+        ground = sorted(previous)
+        for i, newv in enumerate(range(lo, hi + 1)):
+            for j, member in enumerate(ground):
+                if i >> j & 1:
+                    arrows.add((member, newv))
+        previous.extend(range(lo, hi + 1))
+    return Digraph(ranges[-1][1], frozenset(arrows))
+
+
 def naive_census(n: int) -> tuple[int, int, int]:
     """(total, strongly extensive count, Cantor count) by raw enumeration."""
     total = 2 ** (n * n)
@@ -185,7 +200,7 @@ def naive_census(n: int) -> tuple[int, int, int]:
 
 def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
     """(strongly extensive, Cantor) for one counter, through the bitmask kernel."""
-    masks = in_masks(digraph_from_counter(n, counter))
+    masks = digraph_from_counter(n, counter).masks
     cantor = find_surjection(masks, pair_table(unique_vertices(masks))) is None
     return masks_strongly_extensive(masks), cantor
 

@@ -1,9 +1,18 @@
+import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
 
-from naive import naive_is_cantor, naive_is_strongly_extensive, naive_opa, naive_predicate, naive_sur
+from naive import (
+    naive_is_cantor,
+    naive_is_strongly_extensive,
+    naive_omega_prefix,
+    naive_opa,
+    naive_predicate,
+    naive_sur,
+)
 from zfcantor import formulas
 from zfcantor.analysis import (
     ArityMismatch,
@@ -13,7 +22,6 @@ from zfcantor.analysis import (
     cantor_witness,
     d_power_set,
     extract_surjection,
-    in_neighbors,
     is_cantor,
     is_strongly_extensive,
     omega_level_ranges,
@@ -23,24 +31,42 @@ from zfcantor.analysis import (
 )
 from zfcantor.cantor import PREDICATE_ARITIES
 from zfcantor.census import digraph_from_counter
-from zfcantor.digraphs import Digraph, VertexOutOfRange, all_loops, edgeless
+from zfcantor.digraphs import Digraph, VertexOutOfRange, all_loops, dump_digraph, edgeless
 
 THIRD_EXAMPLE = Digraph(4, frozenset({(1, 1), (2, 1), (1, 3), (2, 4)}))
 
 
 class TestNeighborhoods:
     def test_single_arrow(self):
-        assert in_neighbors(Digraph(2, frozenset({(1, 2)})), 2) == {1}
+        assert Digraph(2, frozenset({(1, 2)})).in_neighbors(2) == {1}
 
     def test_edgeless(self):
-        assert in_neighbors(edgeless(1), 1) == frozenset()
+        assert edgeless(1).in_neighbors(1) == frozenset()
 
     def test_loop_only(self):
-        assert in_neighbors(all_loops(3), 2) == {2}
+        assert all_loops(3).in_neighbors(2) == {2}
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
-            in_neighbors(edgeless(2), 3)
+            edgeless(2).in_neighbors(3)
+
+    def test_masks_are_built_once_and_shared_with_the_analysis(self):
+        d = THIRD_EXAMPLE
+        assert d.masks == (0b0011, 0, 0b0001, 0b0010)
+        assert d.masks is d.masks
+        assert DigraphAnalysis(d).masks is d.masks
+
+    def test_long_path_decodes_in_linear_time(self):
+        # each mask of the path i -> i+1 has one bit, high up in a 3000-bit
+        # range: about 0.01 s when decoding visits set bits only, near 1 s
+        # when it walks every bit position
+        n = 3000
+        d = Digraph(n, frozenset((i, i + 1) for i in range(1, n)))
+        start = time.perf_counter()
+        got = [d.in_neighbors(u) for u in d.vertices]
+        elapsed = time.perf_counter() - start
+        assert got == [frozenset()] + [frozenset({u}) for u in range(1, n)]
+        assert elapsed < 0.25
 
 
 class TestDPowerSet:
@@ -276,6 +302,17 @@ class TestOmegaPrefix:
             omega_prefix(5)
         with pytest.raises(SizeGuardExceeded):
             omega_prefix(0)
+
+    def test_closed_form_matches_the_subset_loop(self):
+        for k in range(1, 5):
+            assert omega_prefix(k) == naive_omega_prefix(k)
+
+    def test_level_four_dump_is_frozen(self):
+        text = dump_digraph(omega_prefix(4))
+        assert text.count("\n") == 11278
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "72f7cd5b0cd25111016af676fcf9e5f207f112475c9b6d11bb8d20a3f94d758e"
+        )
 
     def test_enumeration_order_is_binary_counter(self):
         d = omega_prefix(3)

@@ -24,6 +24,10 @@ DEEP_QUANTIFIERS = "( E x1 " * 1500 + "( x1 = x1 )" + " )" * 1500
 CHAIN8 = "".join(f"( E x{i} " for i in range(1, 9)) + reduce(
     lambda body, i: f"( {body} & ( x{i} in x{i + 1} ) )", range(2, 8), "( x1 in x2 )"
 ) + " )" * 8
+# each line doubles the expansion of the one before: line 20 alone asks for 6.3M symbols
+DOUBLING20 = "P1 ( ?x ) := ( A x1 ( x1 in ?x ) )\n" + "".join(
+    f"P{k} ( ?x ) := ( P{k - 1} ( ?x ) & P{k - 1} ( ?x ) )\n" for k in range(2, 21)
+)
 PATH3000 = "vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001))
 
 
@@ -205,6 +209,22 @@ class TestErrors:
         code, _, err = run("is-cantor", "--digraph", "/nonexistent/file.dg")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "verb, flag, text",
+        [
+            ("is-cantor", "--digraph", b"vertices 2\n1 \xff\n"),
+            ("parse", "--formula", b"( x1 = \xff )\n"),
+            ("expand-scheme", "--scheme", b"P ( ?x ) := ( A x1 ( x1 in \xff ) )\n"),
+        ],
+    )
+    def test_non_utf8_file_is_an_io_error(self, run, tmp_path, verb, flag, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        code, out, err = run(verb, flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in err
+
     def test_bad_digraph_content_is_invalid(self, run, digraph_file):
         path = digraph_file("vertices 2\n3 1\n")
         code, _, err = run("is-cantor", "--digraph", path)
@@ -310,6 +330,15 @@ class TestInputGuards:
         code, out, _ = run("is-cantor", "--digraph", path)
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (0, "is-cantor true\n")
+
+    def test_doubling_scheme_is_invalid_at_once(self, run, tmp_path):
+        path = tmp_path / "doubling.scheme"
+        path.write_text(DOUBLING20)
+        start = time.perf_counter()
+        code, out, err = run("expand-scheme", "--scheme", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: P13: the expansions reach 98253 symbols")
 
     def test_high_in_degree_is_a_false_verdict(self, run, digraph_file):
         # a 25-subset neighborhood cannot be strongly extensive on 26 vertices

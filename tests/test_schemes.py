@@ -1,8 +1,13 @@
+import time
+
 import pytest
 
+from zfcantor import schemes
 from zfcantor.cantor import builtin_scheme, emit_expansions
+from zfcantor.digraphs import SizeGuardExceeded
 from zfcantor.formulas import free_variables, occurrences, parse_text, render, render_text
 from zfcantor.schemes import (
+    MAX_EXPANSION_SYMBOLS,
     BadParameterList,
     CircularReference,
     ForeignNewVariable,
@@ -24,6 +29,13 @@ X, Y, Z = new_var("x"), new_var("y"), new_var("z")
 
 def shortcut(name, params, body_text, sigs=None):
     return Shortcut(name, params, parse_text(body_text, sigs))
+
+
+def doubling_scheme(lines):
+    """P1 quantifies once; each further Pk conjoins two copies of Pk-1: 12 * 2^(k-1) - 3 symbols."""
+    text = ["P1 ( ?x ) := ( A x1 ( x1 in ?x ) )"]
+    text += [f"P{k} ( ?x ) := ( P{k - 1} ( ?x ) & P{k - 1} ( ?x ) )" for k in range(2, lines + 1)]
+    return "\n".join(text) + "\n"
 
 
 class TestValidateScheme:
@@ -139,6 +151,30 @@ class TestExpand:
         )
         with pytest.raises(SubstitutabilityViolation):
             expand(bogus)
+
+
+class TestExpansionGuard:
+    def test_doubling_scheme_is_rejected_at_once(self):
+        scheme = parse_scheme_text(doubling_scheme(20))
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardExceeded, match="^P13: the expansions reach 98253 symbols"):
+            expand(scheme)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_scheme_just_under_the_bound_expands(self):
+        # P1..P12 take 49,104 symbols, and Q takes 3 + 12,285 + 3,069 more
+        text = doubling_scheme(12) + "Q ( ?x ) := ( P11 ( ?x ) & P9 ( ?x ) )\n"
+        lengths = [len(render(t)) for t in expand(parse_scheme_text(text))]
+        assert lengths == [12 * 2 ** (k - 1) - 3 for k in range(1, 13)] + [15357]
+        assert sum(lengths) == 64461 <= MAX_EXPANSION_SYMBOLS
+
+    def test_the_bound_admits_a_total_equal_to_it(self, monkeypatch):
+        assert sum(len(render(t)) for t in expand(builtin_scheme())) == 1217
+        monkeypatch.setattr(schemes, "MAX_EXPANSION_SYMBOLS", 1217)
+        expand(builtin_scheme())
+        monkeypatch.setattr(schemes, "MAX_EXPANSION_SYMBOLS", 1216)
+        with pytest.raises(SizeGuardExceeded, match="^SUR: the expansions reach 1217 symbols"):
+            expand(builtin_scheme())
 
 
 class TestInstantiate:
