@@ -13,10 +13,15 @@ that ``Digraph.masks`` builds once per digraph.  Vertices are looked up
 by their mask.  The ordered-pair table reads the realized masks of one
 or two bits, the only ones that can be doubletons, so it takes O(n)
 lookups; a pair vertex determines its two components uniquely, so the
-table is well defined.  The census feeds the kernel the mask tuples of
-its representatives, and ``DigraphAnalysis`` is a view of the kernel's
-tables for one ``Digraph``.  ``omega_prefix`` writes the construction in
-closed form: vertex v of level [lo, hi] has the in-mask v - lo.
+table is well defined.  A digraph is strongly extensive exactly when
+its realized masks form a downset containing 0, and a set of masks is
+a downset when it is closed under removing one bit, so that check
+makes at most Σ|N(v)| lookups and enumerates no subsets.  The census
+feeds the kernel the mask tuples of its representatives, and
+``DigraphAnalysis`` is a view of the kernel's tables for one
+``Digraph``.  ``omega_prefix`` writes the construction in closed form:
+vertex v of level [lo, hi] has the in-mask v - lo, so its arrows come
+in runs of consecutive heads.
 """
 from __future__ import annotations
 
@@ -192,7 +197,11 @@ def find_surjection(masks, pairs) -> tuple[int, int] | None:
 
 
 def masks_strongly_extensive(masks) -> bool:
-    """Every submask of every in-neighborhood mask is some vertex's mask."""
+    """The realized masks form a downset that contains the empty mask.
+
+    By induction on the number of bits, it is enough that removing any
+    one bit from a realized mask gives a realized mask.
+    """
     realized = set(masks)
     if 0 not in realized:
         return False
@@ -201,11 +210,12 @@ def masks_strongly_extensive(masks) -> bool:
         # 2^|N| distinct subsets cannot all be realized by fewer vertices
         if 1 << m.bit_count() > n:
             return False
-        sub = m
-        while sub:
-            sub = (sub - 1) & m
-            if sub not in realized:
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low not in realized:
                 return False
+            rest ^= low
     return True
 
 
@@ -344,9 +354,12 @@ def cantor_witness(digraph: Digraph) -> tuple[int, int] | None:
 def is_strongly_extensive(digraph: Digraph) -> bool:
     """Every subset of every in-neighborhood is itself an in-neighborhood.
 
-    A vertex whose in-degree d has 2^d > n fails at once, since that many
-    distinct subsets cannot all be realized by n vertices; so at most n
-    subsets of each in-neighborhood are enumerated.
+    That holds exactly when the empty set is an in-neighborhood and
+    removing any one element from an in-neighborhood gives another, so
+    the check makes one lookup per arrow, Σ|N(v)| in all, and never
+    enumerates subsets.  A vertex whose in-degree d has 2^d > n fails
+    at once, since that many distinct subsets cannot all be realized by
+    n vertices.
     """
     return masks_strongly_extensive(digraph.masks)
 
@@ -391,8 +404,13 @@ def omega_prefix(levels: int) -> Digraph:
     if cached is not None:
         return cached
     ranges = omega_level_ranges(levels)
+    # bit u-1 of v - lo is set on runs of 2^(u-1) vertices, one run every 2^u
     arrows = frozenset(
-        (u, v) for lo, hi in ranges[1:] for v in range(lo, hi + 1) for u in mask_vertices(v - lo)
+        (u, v)
+        for lo, hi in ranges[1:]
+        for u in range(1, lo)
+        for start in range(lo + (1 << (u - 1)), hi + 1, 1 << u)
+        for v in range(start, start + (1 << (u - 1)))
     )
     prefix = Digraph(ranges[-1][1], arrows)
     _omega_prefixes[levels] = prefix

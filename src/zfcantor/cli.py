@@ -38,15 +38,18 @@ class CliError(Exception):
 
 
 def _read_source(path: str | None) -> str:
+    from_stdin = path is None or path == "-"
     try:
-        if path is None or path == "-":
-            return sys.stdin.read()
+        if from_stdin:
+            # text-mode stdin would let bad bytes through as surrogates
+            buffer = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path or 'stdin'}: not UTF-8 text at byte {exc.start}") from exc
+        raise CliError(f"{'stdin' if from_stdin else path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def _strip_comments(text: str) -> str:

@@ -130,6 +130,8 @@ def load_digraph(text: str) -> Digraph:
 
 
 def dump_digraph(digraph: Digraph) -> str:
-    lines = [f"vertices {digraph.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(digraph.arrows))
-    return "\n".join(lines) + "\n"
+    """The file text, arrows sorted by tail and then head."""
+    # u*(n+1) + v sorts as the pair (u, v), since 1 <= v <= n
+    n1 = digraph.n + 1
+    keys = sorted([u * n1 + v for u, v in digraph.arrows])
+    return f"vertices {digraph.n}\n" + "".join([f"{k // n1} {k % n1}\n" for k in keys])

@@ -178,6 +178,13 @@ def naive_omega_prefix(levels: int) -> Digraph:
     return Digraph(ranges[-1][1], frozenset(arrows))
 
 
+def naive_dump_digraph(d: Digraph) -> str:
+    """The file text, with the arrows sorted as (tail, head) tuples."""
+    lines = [f"vertices {d.n}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(d.arrows))
+    return "\n".join(lines) + "\n"
+
+
 def naive_census(n: int) -> tuple[int, int, int]:
     """(total, strongly extensive count, Cantor count) by raw enumeration."""
     total = 2 ** (n * n)

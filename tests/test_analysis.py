@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from naive import (
+    naive_dump_digraph,
     naive_is_cantor,
     naive_is_strongly_extensive,
     naive_omega_prefix,
@@ -24,6 +25,7 @@ from zfcantor.analysis import (
     extract_surjection,
     is_cantor,
     is_strongly_extensive,
+    masks_strongly_extensive,
     omega_level_ranges,
     omega_prefix,
     resolve_opa,
@@ -261,14 +263,39 @@ class TestStronglyExtensive:
         assert is_strongly_extensive(all_loops(1)) is False
 
     def test_matches_naive_oracle_at_n2(self):
-        for counter in range(16):
-            d = digraph_from_counter(2, counter)
-            assert is_strongly_extensive(d) == naive_is_strongly_extensive(d)
+        # every digraph on at most 3 vertices, then the first construction prefixes
+        digraphs = [digraph_from_counter(n, c) for n in (1, 2, 3) for c in range(2 ** (n * n))]
+        digraphs += [omega_prefix(k) for k in (1, 2, 3)]
+        for d in digraphs:
+            assert is_strongly_extensive(d) == naive_is_strongly_extensive(d), d
+
+    def test_full_power_set_is_checked_in_linear_time(self):
+        # 15 * 2^14 one-bit removals; enumerating every submask takes 3^15 steps
+        masks = tuple(range(1 << 15))
+        start = time.perf_counter()
+        assert masks_strongly_extensive(masks) is True
+        assert time.perf_counter() - start < 0.5
+        assert masks_strongly_extensive(masks[:0xFF] + (0,) + masks[0x100:]) is False
 
     def test_in_degree_guard(self):
         n = 22
         star = Digraph(n, frozenset((i, n) for i in range(1, n)))
         assert is_strongly_extensive(star) is False
+
+
+class TestDumpDigraph:
+    def test_matches_naive_oracle(self):
+        rng = random.Random(2059)
+        digraphs = [omega_prefix(k) for k in range(1, 5)]
+        for n in range(1, 13):
+            digraphs += [edgeless(n), all_loops(n)]
+            for _ in range(10):
+                density = rng.random()
+                vertices = range(1, n + 1)
+                arrows = frozenset((u, v) for u in vertices for v in vertices if rng.random() < density)
+                digraphs.append(Digraph(n, arrows))
+        for d in digraphs:
+            assert dump_digraph(d) == naive_dump_digraph(d)
 
 
 class TestOmegaPrefix:

@@ -225,6 +225,28 @@ class TestErrors:
         assert err.startswith(f"error: {path}: not UTF-8 text")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["parse"], b"( x1 = \xff )\n"),
+            (["is-cantor", "--digraph", "-"], b"vertices 2\n1 \xff\n"),
+        ],
+    )
+    def test_non_utf8_stdin_is_an_io_error(self, capsys, monkeypatch, argv, data):
+        # a real stdin decodes with surrogateescape and has the raw bytes under .buffer
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: stdin: not UTF-8 text at byte {data.index(0xFF)}\n"
+
+    def test_utf8_stdin_is_read_through_its_buffer(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO("( x1 = x1 ) # \u00e9\n".encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["parse"]) == 0
+        assert capsys.readouterr().out == "ok length=5\n"
+
     def test_bad_digraph_content_is_invalid(self, run, digraph_file):
         path = digraph_file("vertices 2\n3 1\n")
         code, _, err = run("is-cantor", "--digraph", path)
