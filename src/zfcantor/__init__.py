@@ -28,7 +28,7 @@ from .cantor import (
     emit_expansions,
     emit_phi,
 )
-from .census import CensusRow, census, digraph_from_counter, enumerate_digraphs
+from .census import CensusRow, census, digraph_from_counter
 from .digraphs import Digraph, all_loops, dump_digraph, edgeless, load_digraph
 from .formulas import (
     Formula,

@@ -9,7 +9,7 @@ containment is non-strict throughout, so every vertex is a subset of
 itself.
 
 All checks run on one bitmask kernel over the in-neighborhood masks
-that ``Digraph.masks`` builds once per digraph.  Vertices are looked up
+that a ``Digraph`` holds as ``Digraph.masks``.  Vertices are looked up
 by their mask.  The ordered-pair table reads the realized masks of one
 or two bits, the only ones that can be doubletons, so it takes O(n)
 lookups; a pair vertex determines its two components uniquely, so the
@@ -20,8 +20,7 @@ makes at most Σ|N(v)| lookups and enumerates no subsets.  The census
 feeds the kernel the mask tuples of its representatives, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
 ``Digraph``.  ``omega_prefix`` writes the construction in closed form:
-vertex v of level [lo, hi] has the in-mask v - lo, so its arrows come
-in runs of consecutive heads.
+vertex v of level [lo, hi] has the in-mask v - lo.
 """
 from __future__ import annotations
 
@@ -403,15 +402,9 @@ def omega_prefix(levels: int) -> Digraph:
     cached = _omega_prefixes.get(levels)
     if cached is not None:
         return cached
-    ranges = omega_level_ranges(levels)
-    # bit u-1 of v - lo is set on runs of 2^(u-1) vertices, one run every 2^u
-    arrows = frozenset(
-        (u, v)
-        for lo, hi in ranges[1:]
-        for u in range(1, lo)
-        for start in range(lo + (1 << (u - 1)), hi + 1, 1 << u)
-        for v in range(start, start + (1 << (u - 1)))
-    )
-    prefix = Digraph(ranges[-1][1], arrows)
+    masks = [0]
+    for lo, hi in omega_level_ranges(levels)[1:]:
+        masks.extend(range(hi - lo + 1))
+    prefix = Digraph.from_masks(masks)
     _omega_prefixes[levels] = prefix
     return prefix

@@ -34,7 +34,7 @@ from math import factorial
 from typing import Iterator
 
 from .analysis import find_surjection, masks_strongly_extensive, pair_table, unique_vertices
-from .digraphs import Digraph, SizeGuardExceeded
+from .digraphs import Digraph, SizeGuardExceeded, transpose
 
 HARD_MAX_N = 5
 
@@ -61,20 +61,10 @@ def _check_n(n: int) -> None:
 
 
 def digraph_from_counter(n: int, counter: int) -> Digraph:
-    arrows = frozenset(
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(1, n + 1)
-        if counter >> ((u - 1) * n + (v - 1)) & 1
-    )
-    return Digraph(n, arrows)
-
-
-def enumerate_digraphs(n: int) -> Iterator[Digraph]:
-    """All 2^(n*n) labeled digraphs on [n], in counter order."""
-    _check_n(n)
-    for counter in range(2 ** (n * n)):
-        yield digraph_from_counter(n, counter)
+    """The digraph with arrow (u, v) when bit (u-1)*n + (v-1) of counter is set."""
+    # the n bits from (u-1)*n on are the out-mask of u
+    full = (1 << n) - 1
+    return Digraph.from_masks(transpose([counter >> u * n & full for u in range(n)]))
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success or a true verdict, 1 on a false or invalid
-domain verdict, 2 on usage and I/O errors.  Verdict-style commands print
-one machine-readable line `<check> <true|false>`; length reports go to
-stderr so stdout stays pipeable.
+domain verdict, 2 on usage and I/O errors, a stdout closed by its reader
+among them.  Verdict-style commands print one machine-readable line
+`<check> <true|false>`; length reports go to stderr so stdout stays
+pipeable.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis
@@ -271,9 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(argv)
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull, so that
+        # the flush at exit does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return USAGE_ERROR  # not a file: nothing is left to flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return USAGE_ERROR
+
+
+def _run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

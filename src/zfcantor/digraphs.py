@@ -1,19 +1,24 @@
 """Finite digraphs on vertex set 1..n and their file format.
 
 An arrow (u, v) reads "u is an element of v": u contributes to the
-in-neighborhood N(v).  ``Digraph.masks`` holds every N(v) as an integer
-mask: bit u-1 of ``masks[v-1]`` is set when u -> v.  The file format is
-a header line ``vertices <n>`` followed by one arrow per line ``<u> <v>``;
-``#`` starts a comment line and blank lines are ignored.
+in-neighborhood N(v).  A ``Digraph`` is its tuple of in-neighborhood
+masks and nothing else: bit u-1 of ``masks[v-1]`` is set when u -> v.
+Equality and hashing compare the masks, and the set of (u, v) pairs,
+``arrows``, is derived from them on first use.  The file format is a
+header line ``vertices <n>`` followed by one arrow per line ``<u> <v>``;
+``#`` starts a comment and blank lines are ignored.  The reader ORs each
+arrow into its head's mask, and the writer files each head under its
+tails in increasing order, so neither builds nor sorts the pairs.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 
-# Most vertices a digraph file may declare: checks allocate per-vertex tables.
+# Most vertices of a digraph: checks allocate per-vertex tables.
 MAX_VERTICES = 2**22
 
 
@@ -37,19 +42,57 @@ class DuplicateArrowWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class Digraph:
-    n: int
-    arrows: frozenset[tuple[int, int]]
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise DigraphError(f"need at least one vertex, got n={n}")
+    if n > MAX_VERTICES:
+        raise SizeGuardExceeded(f"{n} vertices exceed {MAX_VERTICES}")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DigraphError(f"need at least one vertex, got n={self.n}")
-        if not isinstance(self.arrows, frozenset):
-            object.__setattr__(self, "arrows", frozenset(self.arrows))
-        for u, v in self.arrows:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise VertexOutOfRange(f"arrow ({u}, {v}) leaves the vertex range [1, {self.n}]")
+
+@dataclass(frozen=True, init=False)
+class Digraph:
+    """An immutable digraph on 1..n, held as its in-neighborhood masks.
+
+    ``Digraph(n, arrows)`` takes (u, v) pairs; ``Digraph.from_masks``
+    takes the masks themselves, vertex 1 first.
+    """
+
+    n: int
+    masks: tuple[int, ...]
+
+    def __init__(self, n: int, arrows: Iterable[tuple[int, int]]):
+        _check_size(n)
+        masks = [0] * n
+        for u, v in arrows:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise VertexOutOfRange(f"arrow ({u}, {v}) leaves the vertex range [1, {n}]")
+            masks[v - 1] |= 1 << (u - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> Digraph:
+        """The digraph with in-neighborhood masks[v-1] at each vertex v."""
+        masks = tuple(masks)
+        n = len(masks)
+        _check_size(n)
+        if min(masks) < 0 or max(masks) >> n:
+            v, m = next((v, m) for v, m in enumerate(masks, 1) if m < 0 or m >> n)
+            raise VertexOutOfRange(f"mask {m} of vertex {v} is not a subset of [1, {n}]")
+        return cls._unchecked(masks)
+
+    @classmethod
+    def _unchecked(cls, masks: tuple[int, ...]) -> Digraph:
+        """A digraph over masks the caller has already checked."""
+        digraph = object.__new__(cls)
+        object.__setattr__(digraph, "n", len(masks))
+        object.__setattr__(digraph, "masks", masks)
+        return digraph
+
+    @cached_property
+    def arrows(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs, built from the masks on first use."""
+        return frozenset((u, v) for v, m in enumerate(self.masks, 1) for u in mask_vertices(m))
 
     @property
     def vertices(self) -> range:
@@ -65,14 +108,6 @@ class Digraph:
         self.check_vertex(u)
         return mask_vertices(self.masks[u - 1])
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """The in-neighborhood masks, vertex 1 first; built once per digraph."""
-        masks = [0] * self.n
-        for u, v in self.arrows:
-            masks[v - 1] |= 1 << (u - 1)
-        return tuple(masks)
-
 
 def mask_vertices(mask: int) -> frozenset[int]:
     """The vertices whose bits are set in mask."""
@@ -82,6 +117,22 @@ def mask_vertices(mask: int) -> frozenset[int]:
         vertices.append(low.bit_length())
         mask ^= low
     return frozenset(vertices)
+
+
+def transpose(masks) -> list[int]:
+    """Out-masks from in-masks: bit v-1 of out[u-1] is set when bit u-1 of masks[v-1] is.
+
+    Transposing out-masks gives the in-masks back.
+    """
+    out = [0] * len(masks)
+    bit = 1
+    for m in masks:
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
+    return out
 
 
 def all_loops(n: int) -> Digraph:
@@ -94,44 +145,56 @@ def edgeless(n: int) -> Digraph:
 
 def load_digraph(text: str) -> Digraph:
     """Parse digraph file content.  Duplicate arrows warn and collapse."""
-    n: int | None = None
-    arrows: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = enumerate(map(str.split, lines), start=1)
+    for lineno, fields in rows:
+        if not fields:
             continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "vertices":
-                raise BadHeader(f"line {lineno}: expected `vertices <n>`, got {line!r}")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise BadHeader(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
-            if n < 1:
-                raise BadHeader(f"line {lineno}: need at least one vertex")
-            if n > MAX_VERTICES:
-                raise SizeGuardExceeded(f"line {lineno}: {n} vertices exceed {MAX_VERTICES}")
-            continue
-        if len(fields) != 2:
-            raise DigraphError(f"line {lineno}: expected `<u> <v>`, got {line!r}")
+        if len(fields) != 2 or fields[0] != "vertices":
+            raise BadHeader(f"line {lineno}: expected `vertices <n>`, got {lines[lineno - 1].strip()!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            n = int(fields[1])
+        except ValueError:
+            raise BadHeader(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
+        if n < 1:
+            raise BadHeader(f"line {lineno}: need at least one vertex")
+        if n > MAX_VERTICES:
+            raise SizeGuardExceeded(f"line {lineno}: {n} vertices exceed {MAX_VERTICES}")
+        break
+    else:
+        raise BadHeader("missing `vertices <n>` header")
+    masks = [0] * n
+    for lineno, fields in rows:
+        if len(fields) != 2:
+            if not fields:
+                continue
+            raise DigraphError(f"line {lineno}: expected `<u> <v>`, got {lines[lineno - 1].strip()!r}")
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
         except ValueError:
             raise DigraphError(f"line {lineno}: arrow endpoints must be integers")
         if not (1 <= u <= n and 1 <= v <= n):
             raise VertexOutOfRange(f"line {lineno}: arrow ({u}, {v}) leaves [1, {n}]")
-        if (u, v) in arrows:
+        bit = 1 << (u - 1)
+        if masks[v - 1] & bit:
             warnings.warn(f"line {lineno}: duplicate arrow ({u}, {v})", DuplicateArrowWarning)
-        arrows.add((u, v))
-    if n is None:
-        raise BadHeader("missing `vertices <n>` header")
-    return Digraph(n, frozenset(arrows))
+        masks[v - 1] |= bit
+    return Digraph._unchecked(tuple(masks))
 
 
 def dump_digraph(digraph: Digraph) -> str:
     """The file text, arrows sorted by tail and then head."""
-    # u*(n+1) + v sorts as the pair (u, v), since 1 <= v <= n
-    n1 = digraph.n + 1
-    keys = sorted([u * n1 + v for u, v in digraph.arrows])
-    return f"vertices {digraph.n}\n" + "".join([f"{k // n1} {k % n1}\n" for k in keys])
+    # heads[u-1] fills in ascending order, since the heads v are visited in order
+    heads: list[list[str]] = [[] for _ in range(digraph.n)]
+    for v, m in enumerate(digraph.masks, 1):
+        head = str(v)
+        while m:
+            low = m & -m
+            heads[low.bit_length() - 1].append(head)
+            m ^= low
+    return f"vertices {digraph.n}\n" + "".join(
+        [f"{u} " + f"\n{u} ".join(hs) + "\n" for u, hs in enumerate(heads, 1) if hs]
+    )

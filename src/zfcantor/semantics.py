@@ -14,10 +14,13 @@ binder depth, the deepest most significant, so a quantifier's own
 variable is always the top axis of its child's table.  A table is a
 Python int with one bit per cell: connectives are bitwise operations
 after both children are broadcast to the union of their axes, and a
-quantifier combines the n blocks of its child's top axis.  The cost is
-O(|formula| * n^w) for w the most axes of any table (Vardi 1995, "On the
-complexity of bounded-variable queries"); w is 5 for the Cantor
-sentence.
+quantifier combines the n blocks of its child's top axis.  Membership
+tables come from ``Digraph.masks``: the row of the elements of a
+vertex is its in-mask, and the membership matrix stacks the in-masks,
+or the out-masks (their transpose) when the left variable is the top
+axis.  The cost is O(|formula| * n^w) for w the most axes of any table
+(Vardi 1995, "On the complexity of bounded-variable queries"); w is 5
+for the Cantor sentence.
 
 The axis layout of every node, the broadcast steps and the free
 variables depend on the tree alone, so they are compiled once into a
@@ -31,7 +34,7 @@ from __future__ import annotations
 import threading
 from typing import Mapping
 
-from .digraphs import Digraph, SizeGuardExceeded
+from .digraphs import Digraph, SizeGuardExceeded, transpose
 from .formulas import (
     And,
     Formula,
@@ -172,14 +175,6 @@ def _plan(tree: Formula) -> _Plan:
     return entry[1]
 
 
-def _table(cells: int, true_cells) -> int:
-    """The table with exactly the given cells true."""
-    bits = bytearray(b"0") * cells
-    for cell in true_cells:
-        bits[~cell] = 49  # ord("1"); the string is most significant bit first
-    return int(bits, 2)
-
-
 def _broadcast(table: int, cells: int, steps, size: list[int]) -> int:
     """Insert axes into a table; size[k] is the cell count of k axes.
 
@@ -214,8 +209,17 @@ def _forall(table: int, n: int, block: int) -> int:
     return out
 
 
+def _stack(rows, n: int) -> int:
+    """The two-axis table whose block i, of n cells, is rows[i]."""
+    table = 0
+    for i, row in enumerate(rows):
+        table |= row << i * n
+    return table
+
+
 def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[int]) -> bool:
-    n, arrows = digraph.n, digraph.arrows
+    n, masks = digraph.n, digraph.masks
+    out: list[int] = []  # the out-masks, built when a table first reads them
     size = [n**k for k in range(width + 1)]
     full = [(1 << cells) - 1 for cells in size]
     matrices: dict[tuple[bool, bool], int] = {}
@@ -253,26 +257,28 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
                 mem, left_is_top = key
                 if not mem:
                     table = int(("0" * n + "1") * n, 2)  # bits i*(n+1): the diagonal
-                elif left_is_top:
-                    table = _table(n * n, [(u - 1) * n + v - 1 for u, v in arrows])
-                else:
-                    table = _table(n * n, [(v - 1) * n + u - 1 for u, v in arrows])
+                else:  # block i holds the in-mask of vertex i+1, or its out-mask when left is top
+                    if left_is_top and not out:
+                        out = transpose(masks)
+                    table = _stack(out if left_is_top else masks, n)
                 matrices[key] = table
             push(table)
         elif op == _DIAG:
-            push(_table(n, [u - 1 for u, v in arrows if u == v]) if ins[2] else full[1])
+            push(sum(1 << i for i, m in enumerate(masks) if m >> i & 1) if ins[2] else full[1])
         elif op == _ROW:
             _, _, mem, i, bound_is_left = ins
-            c = values[i]
+            c = values[i] - 1
             if not mem:
-                push(1 << (c - 1))
+                push(1 << c)
             elif bound_is_left:
-                push(_table(n, [v - 1 for u, v in arrows if u == c]))
+                if not out:
+                    out = transpose(masks)
+                push(out[c])
             else:
-                push(_table(n, [u - 1 for u, v in arrows if v == c]))
+                push(masks[c])
         else:  # _CONST
             a, b = values[ins[3]], values[ins[4]]
-            push(int((a, b) in arrows if ins[2] else a == b))
+            push(masks[b - 1] >> (a - 1) & 1 if ins[2] else int(a == b))
     return bool(pop())
 
 

@@ -9,12 +9,14 @@ evaluator on small digraphs.
 ``counter_order_census`` is the exception: it runs the package's
 bitmask kernel on every counter, with no symmetry reduction, as the
 oracle for the census's weighted representatives and its relabeled
-witness list.
+witness list; ``enumerate_digraphs`` yields the digraphs of the same
+counters.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from zfcantor.analysis import (
     find_surjection,
@@ -23,8 +25,8 @@ from zfcantor.analysis import (
     pair_table,
     unique_vertices,
 )
-from zfcantor.census import digraph_from_counter
-from zfcantor.digraphs import Digraph
+from zfcantor.census import HARD_MAX_N, digraph_from_counter
+from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.formulas import And, Equality, Exists, Forall, Iff, Implies, Membership, Not, Or
 
 
@@ -203,6 +205,14 @@ def naive_census(n: int) -> tuple[int, int, int]:
         if naive_is_cantor(d):
             cantor += 1
     return total, strongly_extensive, cantor
+
+
+def enumerate_digraphs(n: int) -> Iterator[Digraph]:
+    """All 2^(n*n) labeled digraphs on [n], in counter order."""
+    if not (1 <= n <= HARD_MAX_N):
+        raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
+    for counter in range(2 ** (n * n)):
+        yield digraph_from_counter(n, counter)
 
 
 def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:

@@ -10,7 +10,7 @@ import time
 from itertools import product
 from pathlib import Path
 
-from naive import naive_census
+from naive import enumerate_digraphs, naive_census
 from zfcantor import cantor
 from zfcantor.analysis import (
     DigraphAnalysis,
@@ -19,7 +19,7 @@ from zfcantor.analysis import (
     omega_prefix,
 )
 from zfcantor.cantor import PREDICATE_ARITIES, builtin_scheme, emit_expansions, emit_phi
-from zfcantor.census import census, digraph_from_counter, enumerate_digraphs
+from zfcantor.census import census, digraph_from_counter
 from zfcantor.digraphs import Digraph, all_loops, edgeless
 from zfcantor.formulas import (
     NEGATION,

@@ -8,6 +8,7 @@ import pytest
 
 from naive import (
     counter_order_census,
+    enumerate_digraphs,
     kernel_verdicts,
     naive_census,
     naive_is_cantor,
@@ -20,7 +21,6 @@ from zfcantor.census import (
     CensusRow,
     census,
     digraph_from_counter,
-    enumerate_digraphs,
     format_row,
 )
 from zfcantor.digraphs import Digraph, SizeGuardExceeded

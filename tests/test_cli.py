@@ -1,3 +1,4 @@
+import hashlib
 import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -288,6 +289,23 @@ vertices 2
 """
 
 
+# sha256 of the listing after the row line, which carries the elapsed time
+LIST_WITNESSES_SHA256 = {
+    3: "1dee0b1f7ec854ecb12f3b2446d4262b06bab6a6caae88ff3a327870bd67253a",
+    4: "588d9e1945880ae407c993186f888f54dad3acfa02013d5c43f7edef84d354b2",
+}
+
+
+class BrokenPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestCensusVerb:
     def test_list_witnesses_output(self, run):
         code, out, _ = run("census", "--n", "2", "--list-witnesses")
@@ -295,6 +313,19 @@ class TestCensusVerb:
         first, rest = out.split("\n", 1)
         assert first.split("\t")[:4] == ["2", "16", "5", "11"]
         assert rest == LIST_WITNESSES_N2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_list_witnesses_is_frozen(self, run, n):
+        code, out, _ = run("census", "--n", str(n), "--list-witnesses")
+        assert code == 0
+        rest = out.split("\n", 1)[1]
+        assert hashlib.sha256(rest.encode()).hexdigest() == LIST_WITNESSES_SHA256[n]
+
+    @pytest.mark.parametrize("argv", [["census", "--n", "3", "--list-witnesses"], ["omega", "--levels", "2"]])
+    def test_closed_stdout_exits_2_without_a_traceback(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdout", BrokenPipe())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ""
 
     def test_bad_jobs_is_invalid(self, run):
         code, out, err = run("census", "--n", "2", "--jobs", "0")

@@ -79,6 +79,33 @@ class TestEvaluate:
             evaluate(edgeless(1), tree, {new_var("x"): 1, new_var("y"): 1})
 
 
+# Each text reads the cell (x3, x4) of the membership relation through one
+# table shape: both sides bound, one side bound (left, then right), one
+# quantified variable on both sides (only the diagonal), and two
+# quantified variables in either binder order.
+MEMBERSHIP_CELL_TEXTS = [
+    "( x3 in x4 )",
+    "( E x2 ( ( x3 in x2 ) & ( x2 = x4 ) ) )",
+    "( E x1 ( ( x1 in x4 ) & ( x1 = x3 ) ) )",
+    "( E x1 ( ( x1 in x1 ) & ( ( x1 = x3 ) & ( x1 = x4 ) ) ) )",
+    "( E x1 ( E x2 ( ( x1 in x2 ) & ( ( x1 = x3 ) & ( x2 = x4 ) ) ) ) )",
+    "( E x2 ( E x1 ( ( x1 in x2 ) & ( ( x1 = x3 ) & ( x2 = x4 ) ) ) ) )",
+]
+
+
+def test_every_table_shape_reads_membership_cell_by_cell():
+    trees = [parse_text(text) for text in MEMBERSHIP_CELL_TEXTS]
+    pairs = [(u, v) for u in range(1, 4) for v in range(1, 4)]
+    for counter in range(2**9):
+        arrows = {pair for k, pair in enumerate(pairs) if counter >> k & 1}
+        d = Digraph(3, arrows)
+        for a, b in pairs:
+            env = {set_var(3): a, set_var(4): b}
+            values = [evaluate(d, tree, env) for tree in trees]
+            member = (a, b) in arrows
+            assert values == [member, member, member, member and a == b, member, member], (arrows, a, b)
+
+
 class TestEvaluateSentence:
     def test_one_vertex_edgeless_satisfies_the_cantor_sentence(self):
         assert evaluate_sentence(edgeless(1), emit_phi()) is True
