@@ -24,7 +24,6 @@ bitmask kernel in ``analysis``.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -165,6 +164,8 @@ def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
     if jobs == 1:
         parts = [_count_reduced(task) for task in tasks]
     else:
+        import multiprocessing  # here, not at the top: it is a sixth of `import zfcantor`
+
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_count_reduced, tasks, chunksize=1)
     weight, strongly_extensive, cantor = (sum(p[i] for p in parts) for i in range(3))

@@ -7,10 +7,16 @@ cases: the atomic forms ``( a in b )``, ``( a = b )`` and
 ``( A xi u )``.  Quantifiers bind set variables only; new variables
 cannot be quantified and therefore only occur free.
 
-Parsing is single-pass recursive descent.  The grammar has the unique
-reading property, so no backtracking is needed and every formula has
-exactly one parse tree.  Positions and spans are 1-based and inclusive,
-matching the interval conventions of the substitution operations.
+The tokenizer splits a text with one compiled regular expression and
+maps each token through a bounded memo of accepted tokens; a token not
+in the memo is classified, with its character offset, only then.  The
+parser reads a word left to right in one pass with an explicit stack of
+open compound formulas, so neither it nor the walks over trees (render,
+subformulas, occurrences) recurse, and the depth bound is the stack's
+length.  The grammar has the unique reading property, so no backtracking
+is needed and every formula has exactly one parse tree.  Positions and
+spans are 1-based and inclusive, matching the interval conventions of
+the substitution operations.
 """
 from __future__ import annotations
 
@@ -79,27 +85,14 @@ class NestingTooDeep(ParseError):
     pass
 
 
+# A token is a bracket or semicolon, or a run of anything else up to the
+# next one of those or whitespace; \s is exactly str.isspace in Unicode.
+_TOKEN_RE = re.compile(r"[();]|[^\s();]+")
 _SET_VAR_TOKEN_RE = re.compile(r"^x[0-9]+$")
-_SELF_DELIMITING = "();"
-
-
-def _raw_tokens(text: str) -> Iterator[tuple[str, int]]:
-    """Yield (token, 1-based character offset).  ( ) ; self-delimit."""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SELF_DELIMITING:
-            yield ch, i + 1
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _SELF_DELIMITING:
-            j += 1
-        yield text[i:j], i + 1
-        i = j
+# Accepted tokens and their symbols.  Errors are not kept, so an entry
+# holds no position; past the bound the memo starts over.
+_TOKEN_MEMO: dict[str, Symbol] = dict(FIXED_SYMBOLS)
+_TOKEN_MEMO_SIZE = 4096
 
 
 def _classify_token(tok: str, pos: int) -> Symbol:
@@ -119,14 +112,31 @@ def _classify_token(tok: str, pos: int) -> Symbol:
     raise UnknownToken(pos, f"unknown token {tok!r}")
 
 
+def _memo_symbol(match: re.Match) -> Symbol:
+    tok = match.group()
+    sym = _TOKEN_MEMO.get(tok)
+    if sym is None:
+        sym = _classify_token(tok, match.start() + 1)
+        if len(_TOKEN_MEMO) >= _TOKEN_MEMO_SIZE:
+            _TOKEN_MEMO.clear()
+        _TOKEN_MEMO[tok] = sym
+    return sym
+
+
 def tokenize(text: str) -> Word:
-    """Turn token text into a word.  Lossless inverse of render_text."""
-    return tuple(_classify_token(tok, pos) for tok, pos in _raw_tokens(text))
+    """Turn token text into a word.  Lossless inverse of render_text.
+
+    Errors carry the 1-based character offset of the offending token.
+    """
+    try:
+        return tuple(map(_TOKEN_MEMO.__getitem__, _TOKEN_RE.findall(text)))
+    except KeyError:  # a token not seen yet: classify it where it stands
+        return tuple(map(_memo_symbol, _TOKEN_RE.finditer(text)))
 
 
 def render_text(word: Word) -> str:
     """Spell a word as whitespace-separated tokens."""
-    return " ".join(sym.token for sym in word)
+    return " ".join([sym.token for sym in word])
 
 
 def count(word: Word, symbol: Symbol) -> int:
@@ -242,13 +252,15 @@ class Forall(Quantifier):
 _RELATIONS = {cls.symbol.kind: cls for cls in (Membership, Equality)}
 _CONNECTIVES = {cls.symbol.kind: cls for cls in (Implies, Iff, And, Or)}
 _QUANTIFIERS = {cls.symbol.kind: cls for cls in (Exists, Forall)}
+_LPAREN, _NEGATION, _SET_VAR = SymbolKind.LPAREN, SymbolKind.NEGATION, SymbolKind.SET_VAR
 
 NODE_CLASSES = (Membership, Equality, PredicateAtom, Not, Implies, Iff, And, Or, Exists, Forall)
 CASE_LABELS = tuple(dict.fromkeys(cls.label for cls in NODE_CLASSES))
 
 # Most compound formulas around an atom that parse accepts (the Cantor
-# sentence has 21).  Parse recurses twice per level, render and evaluate
-# once, so this stays well inside Python's default recursion limit.
+# sentence has 21).  The front end needs no recursion; evaluate and the
+# equality of trees recurse once per level, well inside Python's default
+# recursion limit.
 MAX_DEPTH = 200
 
 
@@ -260,90 +272,49 @@ def _normalize_signatures(signatures) -> dict[str, int]:
     return {sig.name: sig.arity for sig in signatures}
 
 
-class _Parser:
-    def __init__(self, word: Word, signatures: dict[str, int]):
-        self.word = word
-        self.n = len(word)
-        self.signatures = signatures
+def _at(word: Word, pos: int) -> Symbol:
+    if pos > len(word):
+        raise NotAFormula(pos, "unexpected end of word")
+    return word[pos - 1]
 
-    def at(self, pos: int) -> Symbol:
-        if pos > self.n:
-            raise NotAFormula(pos, "unexpected end of word")
-        return self.word[pos - 1]
 
-    def expect(self, pos: int, symbol: Symbol) -> None:
-        if self.at(pos) != symbol:
-            raise NotAFormula(pos, f"expected {symbol.token!r}, found {self.at(pos).token!r}")
+def _expect(word: Word, pos: int, symbol: Symbol) -> None:
+    found = _at(word, pos)
+    if found is not symbol:
+        raise NotAFormula(pos, f"expected {symbol.token!r}, found {found.token!r}")
 
-    def expect_variable(self, pos: int) -> Symbol:
-        sym = self.at(pos)
-        if not sym.is_variable:
-            raise NotAFormula(pos, f"expected a variable, found {sym.token!r}")
-        return sym
 
-    def parse(self, pos: int, depth: int = 0) -> tuple[Formula, int]:
-        if depth > MAX_DEPTH:
-            raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
-        sym = self.at(pos)
-        if sym.kind is SymbolKind.NEGATION:
-            child, nxt = self.parse(pos + 1, depth + 1)
-            return Not((pos, nxt - 1), child), nxt
-        if sym.kind is SymbolKind.PREDICATE:
-            return self.parse_predicate_atom(pos)
-        if sym.kind is SymbolKind.LPAREN:
-            head = self.at(pos + 1)
-            if head.kind in _QUANTIFIERS:
-                return self.parse_quantified(pos, _QUANTIFIERS[head.kind], depth)
-            if head.is_variable:
-                return self.parse_atom(pos)
-            return self.parse_binary(pos, depth)
-        raise NotAFormula(pos, f"a formula cannot start with {sym.token!r}")
+def _expect_variable(word: Word, pos: int) -> Symbol:
+    sym = _at(word, pos)
+    if not sym.is_variable:
+        raise NotAFormula(pos, f"expected a variable, found {sym.token!r}")
+    return sym
 
-    def parse_atom(self, pos: int) -> tuple[Formula, int]:
-        left = self.expect_variable(pos + 1)
-        op = self.at(pos + 2)
-        node = _RELATIONS.get(op.kind)
-        if node is None:
-            raise NotAFormula(pos + 2, f"expected 'in' or '=', found {op.token!r}")
-        right = self.expect_variable(pos + 3)
-        self.expect(pos + 4, RPAREN)
-        return node((pos, pos + 4), left, right), pos + 5
 
-    def parse_quantified(self, pos: int, node: type[Formula], depth: int) -> tuple[Formula, int]:
-        var = self.at(pos + 2)
-        if var.kind is SymbolKind.NEW_VAR:
-            raise NotAFormula(pos + 2, f"new variable {var.token!r} cannot be quantified")
-        if var.kind is not SymbolKind.SET_VAR:
-            raise NotAFormula(pos + 2, f"expected a set variable, found {var.token!r}")
-        child, nxt = self.parse(pos + 3, depth + 1)
-        self.expect(nxt, RPAREN)
-        return node((pos, nxt), var, child), nxt + 1
+def _bad_atom(word: Word, pos: int) -> None:
+    """Raise the first error, in reading order, of the relation atom opening at pos."""
+    op = _at(word, pos + 2)
+    if op.kind not in _RELATIONS:
+        raise NotAFormula(pos + 2, f"expected 'in' or '=', found {op.token!r}")
+    _expect_variable(word, pos + 3)
+    _expect(word, pos + 4, RPAREN)
 
-    def parse_binary(self, pos: int, depth: int) -> tuple[Formula, int]:
-        left, mid = self.parse(pos + 1, depth + 1)
-        op = self.at(mid)
-        node = _CONNECTIVES.get(op.kind)
-        if node is None:
-            raise NotAFormula(mid, f"expected a binary connective, found {op.token!r}")
-        right, nxt = self.parse(mid + 1, depth + 1)
-        self.expect(nxt, RPAREN)
-        return node((pos, nxt), left, right), nxt + 1
 
-    def parse_predicate_atom(self, pos: int) -> tuple[Formula, int]:
-        name = self.at(pos).name
-        if name not in self.signatures:
-            raise UnknownPredicate(pos, f"predicate {name!r} is not in the signature set")
-        self.expect(pos + 1, LPAREN)
-        args = [self.expect_variable(pos + 2)]
-        cur = pos + 3
-        while self.at(cur).kind is SymbolKind.SEMICOLON:
-            args.append(self.expect_variable(cur + 1))
-            cur += 2
-        self.expect(cur, RPAREN)
-        arity = self.signatures[name]
-        if len(args) != arity:
-            raise ArityMismatch(pos, f"{name} has arity {arity}, applied to {len(args)} arguments")
-        return PredicateAtom((pos, cur), name, tuple(args)), cur + 1
+def _predicate_atom(word: Word, pos: int, signatures: dict[str, int]) -> PredicateAtom:
+    name = word[pos - 1].name
+    if name not in signatures:
+        raise UnknownPredicate(pos, f"predicate {name!r} is not in the signature set")
+    _expect(word, pos + 1, LPAREN)
+    args = [_expect_variable(word, pos + 2)]
+    cur = pos + 3
+    while _at(word, cur).kind is SymbolKind.SEMICOLON:
+        args.append(_expect_variable(word, cur + 1))
+        cur += 2
+    _expect(word, cur, RPAREN)
+    arity = signatures[name]
+    if len(args) != arity:
+        raise ArityMismatch(pos, f"{name} has arity {arity}, applied to {len(args)} arguments")
+    return PredicateAtom((pos, cur), name, tuple(args))
 
 
 def parse(word: Word, signatures: Iterable[PredicateSignature] | Mapping[str, int] | None = None) -> Formula:
@@ -356,11 +327,75 @@ def parse(word: Word, signatures: Iterable[PredicateSignature] | Mapping[str, in
     """
     if not word:
         raise NotAFormula(1, "the empty word is not a formula")
-    parser = _Parser(word, _normalize_signatures(signatures))
-    tree, nxt = parser.parse(1)
-    if nxt != len(word) + 1:
-        raise NotAFormula(nxt, "trailing symbols after a complete formula")
-    return tree
+    signatures = _normalize_signatures(signatures)
+    n = len(word)
+    # One frame per open compound formula, so len(stack) is the depth of
+    # the formula read next: (start, Not, None), (start, None, None) for a
+    # binary form before its connective, and (start, class, first field)
+    # for a quantifier or a binary form after it.
+    stack: list[tuple] = []
+    pos = 1
+    while True:
+        if len(stack) > MAX_DEPTH:
+            raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
+        if pos > n:
+            raise NotAFormula(pos, "unexpected end of word")
+        kind = word[pos - 1].kind
+        if kind is _LPAREN:
+            if pos == n:
+                raise NotAFormula(pos + 1, "unexpected end of word")
+            head = word[pos]
+            if head.is_variable:
+                if (pos + 4 > n or (cls := _RELATIONS.get(word[pos + 1].kind)) is None
+                        or not word[pos + 2].is_variable or word[pos + 3] is not RPAREN):
+                    _bad_atom(word, pos)
+                node, nxt = cls((pos, pos + 4), head, word[pos + 2]), pos + 5
+            else:
+                cls = _QUANTIFIERS.get(head.kind)
+                if cls is None:
+                    stack.append((pos, None, None))
+                    pos += 1
+                    continue
+                var = _at(word, pos + 2)
+                if var.kind is not _SET_VAR:
+                    if var.kind is SymbolKind.NEW_VAR:
+                        raise NotAFormula(pos + 2, f"new variable {var.token!r} cannot be quantified")
+                    raise NotAFormula(pos + 2, f"expected a set variable, found {var.token!r}")
+                stack.append((pos, cls, var))
+                pos += 3
+                continue
+        elif kind is _NEGATION:
+            stack.append((pos, Not, None))
+            pos += 1
+            continue
+        elif kind is SymbolKind.PREDICATE:
+            node = _predicate_atom(word, pos, signatures)
+            nxt = node.span[1] + 1
+        else:
+            raise NotAFormula(pos, f"a formula cannot start with {word[pos - 1].token!r}")
+        # node is complete and nxt follows it: close the frames it completes.
+        while stack:
+            start, cls, first = stack[-1]
+            if cls is Not:
+                node = Not((start, nxt - 1), node)
+            elif cls is None:
+                cls = _CONNECTIVES.get(word[nxt - 1].kind) if nxt <= n else None
+                if cls is None:
+                    op = _at(word, nxt)
+                    raise NotAFormula(nxt, f"expected a binary connective, found {op.token!r}")
+                stack[-1] = (start, cls, node)
+                pos = nxt + 1
+                break
+            else:
+                if nxt > n or word[nxt - 1] is not RPAREN:
+                    _expect(word, nxt, RPAREN)
+                node = cls((start, nxt), first, node)
+                nxt += 1
+            stack.pop()
+        else:
+            if nxt != n + 1:
+                raise NotAFormula(nxt, "trailing symbols after a complete formula")
+            return node
 
 
 def parse_text(text: str, signatures=None) -> Formula:
@@ -369,18 +404,25 @@ def parse_text(text: str, signatures=None) -> Formula:
 
 def render(tree: Formula) -> Word:
     """Spell a tree back into the word it was parsed from."""
-    if isinstance(tree, RelationAtom):
-        return (LPAREN, tree.left, tree.symbol, tree.right, RPAREN)
-    if isinstance(tree, PredicateAtom):
-        inner = [sym for arg in tree.args for sym in (SEMICOLON, arg)][1:]
-        return (predicate(tree.name), LPAREN, *inner, RPAREN)
-    if isinstance(tree, Not):
-        return (NEGATION,) + render(tree.child)
-    if isinstance(tree, Connective):
-        return (LPAREN,) + render(tree.left) + (tree.symbol,) + render(tree.right) + (RPAREN,)
-    if isinstance(tree, Quantifier):
-        return (LPAREN, tree.symbol, tree.var) + render(tree.child) + (RPAREN,)
-    raise TypeError(f"not a formula node: {tree!r}")
+    out: list[Symbol] = []
+    stack: list = [tree]  # symbols to write and nodes to spell, the next one last
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Symbol):
+            out.append(node)
+        elif isinstance(node, (Connective, RelationAtom)):
+            stack += (RPAREN, node.right, node.symbol, node.left, LPAREN)
+        elif isinstance(node, Quantifier):
+            stack += (RPAREN, node.child, node.var, node.symbol, LPAREN)
+        elif isinstance(node, Not):
+            stack += (node.child, NEGATION)
+        elif isinstance(node, PredicateAtom):
+            out += (predicate(node.name), LPAREN)
+            out += [sym for arg in node.args for sym in (SEMICOLON, arg)][1:]
+            out.append(RPAREN)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return tuple(out)
 
 
 def classify(tree: Formula) -> tuple[str, tuple[Formula, ...], Symbol | None]:
@@ -390,9 +432,11 @@ def classify(tree: Formula) -> tuple[str, tuple[Formula, ...], Symbol | None]:
 
 def subformulas(tree: Formula) -> Iterator[Formula]:
     """All subformula nodes in pre-order, the tree itself first."""
-    yield tree
-    for child in tree.children:
-        yield from subformulas(child)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(node.children)
 
 
 def predicate_atoms(tree: Formula) -> Iterator[PredicateAtom]:
@@ -414,6 +458,32 @@ class Occurrence:
     bound: bool
 
 
+def _variable_sites(tree: Formula) -> list[tuple[Symbol, int, bool]]:
+    """(variable, position, bound) for every variable occurrence, in position order.
+
+    A pre-order walk meets the occurrences left to right, so no sort is
+    needed; ``scope`` holds the variables quantified around the node.
+    """
+    sites: list[tuple[Symbol, int, bool]] = []
+    stack: list[tuple[Formula, frozenset[Symbol]]] = [(tree, frozenset())]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, Connective):
+            stack += ((node.right, scope), (node.left, scope))
+        elif isinstance(node, RelationAtom):
+            l = node.span[0]
+            sites += ((node.left, l + 1, node.left in scope), (node.right, l + 3, node.right in scope))
+        elif isinstance(node, Not):
+            stack.append((node.child, scope))
+        elif isinstance(node, Quantifier):
+            sites.append((node.var, node.span[0] + 2, True))
+            stack.append((node.child, scope | {node.var}))
+        else:
+            l = node.span[0]
+            sites += [(arg, l + 2 * i, arg in scope) for i, arg in enumerate(node.args, start=1)]
+    return sites
+
+
 def occurrences(tree: Formula) -> list[Occurrence]:
     """Every variable occurrence of the formula with its free/bound status.
 
@@ -422,39 +492,16 @@ def occurrences(tree: Formula) -> list[Occurrence]:
     bound.  New variables are never quantified, so all their occurrences
     come out free.
     """
-    out: list[Occurrence] = []
-
-    def emit(sym: Symbol, pos: int, scope: frozenset[Symbol]) -> None:
-        out.append(Occurrence(sym, pos, sym in scope))
-
-    def walk(node: Formula, scope: frozenset[Symbol]) -> None:
-        l = node.span[0]
-        if isinstance(node, RelationAtom):
-            emit(node.left, l + 1, scope)
-            emit(node.right, l + 3, scope)
-        elif isinstance(node, PredicateAtom):
-            for i, arg in enumerate(node.args, start=1):
-                emit(arg, l + 2 * i, scope)
-        elif isinstance(node, Quantifier):
-            inner = scope | {node.var}
-            emit(node.var, l + 2, inner)
-            walk(node.child, inner)
-        else:
-            for child in node.children:
-                walk(child, scope)
-
-    walk(tree, frozenset())
-    out.sort(key=lambda occ: occ.position)
-    return out
+    return [Occurrence(*site) for site in _variable_sites(tree)]
 
 
 def free_variables(tree: Formula) -> frozenset[Symbol]:
-    return frozenset(occ.variable for occ in occurrences(tree) if not occ.bound)
+    return frozenset([var for var, _, bound in _variable_sites(tree) if not bound])
 
 
 def is_sentence(tree: Formula) -> bool:
     """True when no variable occurs free."""
-    return all(occ.bound for occ in occurrences(tree))
+    return all([bound for _, _, bound in _variable_sites(tree)])
 
 
 # ---------------------------------------------------------------------------

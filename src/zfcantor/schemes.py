@@ -214,6 +214,8 @@ def expand(scheme: Scheme) -> list[Formula]:
     """
     sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
     words: list[Word] = []
+    trees: list[Formula] = []
+    binders: list[frozenset[int]] = []
     total = 0
     for sc in scheme.shortcuts:
         body_word = render(sc.body)
@@ -229,22 +231,19 @@ def expand(scheme: Scheme) -> list[Formula]:
         patches = []
         for atom, k in atoms:
             source = scheme.shortcuts[k - 1]
-            inserted = sub1(words[k - 1], dict(zip(source.params, atom.args)))
-            _check_substitutable(sc.name, inserted, host_binders, atom.args)
-            patches.append((inserted, atom.span[0], atom.span[1]))
+            # renaming parameters leaves the quantified variables as they are
+            _check_substitutable(sc.name, binders[k - 1], host_binders, atom.args)
+            patches.append((sub1(words[k - 1], dict(zip(source.params, atom.args))), *atom.span))
         word = sub2(body_word, patches) if patches else body_word
-        if any(sym.kind is SymbolKind.PREDICATE for sym in word):
+        if any(sym.kind is SymbolKind.PREDICATE for sym in set(word)):
             raise SubstitutabilityViolation(f"{sc.name}: expansion still contains a predicate")
         words.append(word)
-    return [parse(w) for w in words]
+        trees.append(parse(word))
+        binders.append(_binder_indices(trees[-1]))
+    return trees
 
 
-def _check_substitutable(name, inserted: Word, host_binders, args) -> None:
-    inserted_binders = frozenset(
-        inserted[i + 1].index
-        for i, sym in enumerate(inserted)
-        if sym.kind in (SymbolKind.EXISTS, SymbolKind.FORALL)
-    )
+def _check_substitutable(name, inserted_binders: frozenset[int], host_binders, args) -> None:
     if inserted_binders & host_binders:
         raise SubstitutabilityViolation(
             f"{name}: inserted expansion quantifies {sorted(inserted_binders & host_binders)}"

@@ -88,7 +88,7 @@ def sub1(u: GenericWord, mapping: Mapping | Iterable[tuple]) -> GenericWord:
         table = dict(pairs)
         if len(table) != len(pairs):
             raise DuplicateSource("replacement sources must be pairwise distinct")
-    return tuple(table.get(sym, sym) for sym in u)
+    return tuple(map(table.get, u, u))
 
 
 def sub2(u: GenericWord, replacements: Iterable[tuple[GenericWord, int, int]]) -> GenericWord:

@@ -2,18 +2,27 @@
 
 The base alphabet has the set variables x1, x2, ... and eleven fixed
 symbols (membership, equality, the four connectives, negation, the two
-quantifiers, and round brackets).  The extended alphabet adds a argument
+quantifiers, and round brackets).  The extended alphabet adds an argument
 separator ``;``, the new variables ?x ?y ?z ?a ?b ?c ?y1 ?y2 ..., and
 finitely many named predicates.  Every symbol has a unique ASCII token
 spelling, so words of symbols and whitespace-separated token strings are
 interchangeable.
+
+Symbols are interned: constructing one returns the live symbol with the
+same kind, index and name if there is one, so equal symbols are the same
+object.  Equality and hashing are therefore the identity ones, done in C
+with no Python call per dict lookup or word comparison, and the token is
+spelled once, at construction.  Nothing cached is pickled or copied:
+``__reduce__`` rebuilds a symbol from its three fields, so a symbol sent
+to another process, whatever its hash seed, is interned there again.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import lru_cache
+from weakref import WeakValueDictionary
 
 
 class SymbolKind(Enum):
@@ -32,6 +41,10 @@ class SymbolKind(Enum):
     RPAREN = "rparen"
     SEMICOLON = "semicolon"
     PREDICATE = "predicate"
+
+    # Members are singletons, so the identity hash is valid; it is computed
+    # in C, where Enum.__hash__ hashes the member name in Python.
+    __hash__ = object.__hash__
 
 
 _FIXED_TOKENS = {
@@ -56,42 +69,53 @@ PREDICATE_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 RESERVED_PREDICATE_NAMES = frozenset({"E", "A"})
 
 
-@dataclass(frozen=True)
 class Symbol:
     """One letter of the extended alphabet.
 
     ``index`` is meaningful for SET_VAR only, ``name`` for NEW_VAR and
-    PREDICATE only; both stay at their defaults otherwise.
+    PREDICATE only; both stay at their defaults otherwise.  Instances
+    are immutable and interned (see the module docstring).
     """
 
-    kind: SymbolKind
-    index: int = 0
-    name: str = ""
+    __slots__ = ("kind", "index", "name", "token", "is_variable", "__weakref__")
 
-    def __post_init__(self):
-        if self.kind is SymbolKind.SET_VAR:
-            if self.index < 1:
-                raise ValueError(f"set variable index must be >= 1, got {self.index}")
-        elif self.kind is SymbolKind.NEW_VAR:
-            if not NEW_VAR_NAME_RE.match(self.name):
-                raise ValueError(f"bad new-variable name {self.name!r}")
-        elif self.kind is SymbolKind.PREDICATE:
-            if not PREDICATE_NAME_RE.match(self.name) or self.name in RESERVED_PREDICATE_NAMES:
-                raise ValueError(f"bad predicate name {self.name!r}")
+    def __new__(cls, kind: SymbolKind, index: int = 0, name: str = ""):
+        key = (kind, index, name)
+        sym = _INTERNED.get(key)
+        if sym is not None:
+            return sym
+        if kind is SymbolKind.SET_VAR:
+            if index < 1:
+                raise ValueError(f"set variable index must be >= 1, got {index}")
+            token = f"x{index}"
+        elif kind is SymbolKind.NEW_VAR:
+            if not NEW_VAR_NAME_RE.match(name):
+                raise ValueError(f"bad new-variable name {name!r}")
+            token = f"?{name}"
+        elif kind is SymbolKind.PREDICATE:
+            if not PREDICATE_NAME_RE.match(name) or name in RESERVED_PREDICATE_NAMES:
+                raise ValueError(f"bad predicate name {name!r}")
+            token = name
+        else:
+            token = _FIXED_TOKENS[kind]
+        sym = object.__new__(cls)
+        init = object.__setattr__
+        init(sym, "kind", kind)
+        init(sym, "index", index)
+        init(sym, "name", name)
+        init(sym, "token", token)
+        init(sym, "is_variable", kind in _VARIABLE_KINDS)
+        with _INTERN_LOCK:  # another thread may have built the same symbol meanwhile
+            return _INTERNED.setdefault(key, sym)
 
-    @property
-    def token(self) -> str:
-        if self.kind is SymbolKind.SET_VAR:
-            return f"x{self.index}"
-        if self.kind is SymbolKind.NEW_VAR:
-            return f"?{self.name}"
-        if self.kind is SymbolKind.PREDICATE:
-            return self.name
-        return _FIXED_TOKENS[self.kind]
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    @property
-    def is_variable(self) -> bool:
-        return self.kind in (SymbolKind.SET_VAR, SymbolKind.NEW_VAR)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Symbol, (self.kind, self.index, self.name)
 
     def __str__(self) -> str:
         return self.token
@@ -100,17 +124,20 @@ class Symbol:
         return f"Symbol({self.token!r})"
 
 
-@lru_cache(maxsize=None)
+# Live symbols by (kind, index, name); an entry goes when its symbol does.
+_INTERNED: WeakValueDictionary[tuple, Symbol] = WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+_VARIABLE_KINDS = (SymbolKind.SET_VAR, SymbolKind.NEW_VAR)
+
+
 def set_var(index: int) -> Symbol:
     return Symbol(SymbolKind.SET_VAR, index=index)
 
 
-@lru_cache(maxsize=None)
 def new_var(name: str) -> Symbol:
     return Symbol(SymbolKind.NEW_VAR, name=name)
 
 
-@lru_cache(maxsize=None)
 def predicate(name: str) -> Symbol:
     return Symbol(SymbolKind.PREDICATE, name=name)
 

@@ -14,6 +14,7 @@ counters.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -27,7 +28,36 @@ from zfcantor.analysis import (
 )
 from zfcantor.census import HARD_MAX_N, digraph_from_counter
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
-from zfcantor.formulas import And, Equality, Exists, Forall, Iff, Implies, Membership, Not, Or
+from zfcantor.formulas import (
+    MAX_DEPTH,
+    And,
+    ArityMismatch,
+    Equality,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    MalformedVariable,
+    Membership,
+    Not,
+    NotAFormula,
+    NestingTooDeep,
+    Or,
+    PredicateAtom,
+    UnknownPredicate,
+    UnknownToken,
+)
+from zfcantor.symbols import (
+    FIXED_SYMBOLS,
+    LPAREN,
+    NEW_VAR_NAME_RE,
+    PREDICATE_NAME_RE,
+    RPAREN,
+    SymbolKind,
+    new_var,
+    predicate,
+    set_var,
+)
 
 
 def naive_evaluate(d: Digraph, tree, env) -> bool:
@@ -236,3 +266,151 @@ def counter_order_census(n: int) -> tuple[tuple[int, int, int], tuple[int, ...]]
         else:
             non_cantor.append(counter)
     return (total, strongly_extensive, cantor), tuple(non_cantor)
+
+
+# ---------------------------------------------------------------------------
+# The formula front end, one character and one symbol at a time
+
+_SET_VAR_TOKEN_RE = re.compile(r"^x[0-9]+$")
+_SELF_DELIMITING = "();"
+
+
+def _raw_tokens(text: str):
+    """Yield (token, 1-based character offset).  ( ) ; self-delimit."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _SELF_DELIMITING:
+            yield ch, i + 1
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _SELF_DELIMITING:
+            j += 1
+        yield text[i:j], i + 1
+        i = j
+
+
+def _classify_token(tok: str, pos: int):
+    if tok in FIXED_SYMBOLS:
+        return FIXED_SYMBOLS[tok]
+    if _SET_VAR_TOKEN_RE.match(tok):
+        digits = tok[1:]
+        if digits[0] == "0":
+            raise MalformedVariable(pos, f"set variable {tok!r} has index 0 or a leading zero")
+        return set_var(int(digits))
+    if tok.startswith("?"):
+        if NEW_VAR_NAME_RE.match(tok[1:]):
+            return new_var(tok[1:])
+        raise MalformedVariable(pos, f"bad new-variable token {tok!r}")
+    if PREDICATE_NAME_RE.match(tok):
+        return predicate(tok)
+    raise UnknownToken(pos, f"unknown token {tok!r}")
+
+
+def naive_tokenize(text: str) -> tuple:
+    return tuple(_classify_token(tok, pos) for tok, pos in _raw_tokens(text))
+
+
+_RELATIONS = {cls.symbol.kind: cls for cls in (Membership, Equality)}
+_CONNECTIVES = {cls.symbol.kind: cls for cls in (Implies, Iff, And, Or)}
+_QUANTIFIERS = {cls.symbol.kind: cls for cls in (Exists, Forall)}
+
+
+class _Parser:
+    def __init__(self, word, signatures: dict[str, int]):
+        self.word = word
+        self.n = len(word)
+        self.signatures = signatures
+
+    def at(self, pos: int):
+        if pos > self.n:
+            raise NotAFormula(pos, "unexpected end of word")
+        return self.word[pos - 1]
+
+    def expect(self, pos: int, symbol) -> None:
+        if self.at(pos) != symbol:
+            raise NotAFormula(pos, f"expected {symbol.token!r}, found {self.at(pos).token!r}")
+
+    def expect_variable(self, pos: int):
+        sym = self.at(pos)
+        if not sym.is_variable:
+            raise NotAFormula(pos, f"expected a variable, found {sym.token!r}")
+        return sym
+
+    def parse(self, pos: int, depth: int = 0):
+        if depth > MAX_DEPTH:
+            raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
+        sym = self.at(pos)
+        if sym.kind is SymbolKind.NEGATION:
+            child, nxt = self.parse(pos + 1, depth + 1)
+            return Not((pos, nxt - 1), child), nxt
+        if sym.kind is SymbolKind.PREDICATE:
+            return self.parse_predicate_atom(pos)
+        if sym.kind is SymbolKind.LPAREN:
+            head = self.at(pos + 1)
+            if head.kind in _QUANTIFIERS:
+                return self.parse_quantified(pos, _QUANTIFIERS[head.kind], depth)
+            if head.is_variable:
+                return self.parse_atom(pos)
+            return self.parse_binary(pos, depth)
+        raise NotAFormula(pos, f"a formula cannot start with {sym.token!r}")
+
+    def parse_atom(self, pos: int):
+        left = self.expect_variable(pos + 1)
+        op = self.at(pos + 2)
+        node = _RELATIONS.get(op.kind)
+        if node is None:
+            raise NotAFormula(pos + 2, f"expected 'in' or '=', found {op.token!r}")
+        right = self.expect_variable(pos + 3)
+        self.expect(pos + 4, RPAREN)
+        return node((pos, pos + 4), left, right), pos + 5
+
+    def parse_quantified(self, pos: int, node, depth: int):
+        var = self.at(pos + 2)
+        if var.kind is SymbolKind.NEW_VAR:
+            raise NotAFormula(pos + 2, f"new variable {var.token!r} cannot be quantified")
+        if var.kind is not SymbolKind.SET_VAR:
+            raise NotAFormula(pos + 2, f"expected a set variable, found {var.token!r}")
+        child, nxt = self.parse(pos + 3, depth + 1)
+        self.expect(nxt, RPAREN)
+        return node((pos, nxt), var, child), nxt + 1
+
+    def parse_binary(self, pos: int, depth: int):
+        left, mid = self.parse(pos + 1, depth + 1)
+        op = self.at(mid)
+        node = _CONNECTIVES.get(op.kind)
+        if node is None:
+            raise NotAFormula(mid, f"expected a binary connective, found {op.token!r}")
+        right, nxt = self.parse(mid + 1, depth + 1)
+        self.expect(nxt, RPAREN)
+        return node((pos, nxt), left, right), nxt + 1
+
+    def parse_predicate_atom(self, pos: int):
+        name = self.at(pos).name
+        if name not in self.signatures:
+            raise UnknownPredicate(pos, f"predicate {name!r} is not in the signature set")
+        self.expect(pos + 1, LPAREN)
+        args = [self.expect_variable(pos + 2)]
+        cur = pos + 3
+        while self.at(cur).kind is SymbolKind.SEMICOLON:
+            args.append(self.expect_variable(cur + 1))
+            cur += 2
+        self.expect(cur, RPAREN)
+        arity = self.signatures[name]
+        if len(args) != arity:
+            raise ArityMismatch(pos, f"{name} has arity {arity}, applied to {len(args)} arguments")
+        return PredicateAtom((pos, cur), name, tuple(args)), cur + 1
+
+
+def naive_parse(word, signatures: dict[str, int] | None = None):
+    """Recursive descent; ``signatures`` maps predicate names to arities."""
+    if not word:
+        raise NotAFormula(1, "the empty word is not a formula")
+    tree, nxt = _Parser(word, dict(signatures or {})).parse(1)
+    if nxt != len(word) + 1:
+        raise NotAFormula(nxt, "trailing symbols after a complete formula")
+    return tree

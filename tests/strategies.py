@@ -24,7 +24,26 @@ def atom_text(new_vars: bool):
     )
 
 
-def formula_text(new_vars: bool = False, max_leaves: int = 8):
+PREDICATE_SIGNATURES = {"P": 2, "Q": 1}
+
+
+def predicate_atom_text(new_vars: bool):
+    """``P ( a ; b )`` or ``Q ( a )``, applying a predicate of PREDICATE_SIGNATURES."""
+
+    def apply(name):
+        arity = PREDICATE_SIGNATURES[name]
+        args = st.lists(variable_tokens(new_vars), min_size=arity, max_size=arity)
+        return args.map(lambda args: f"{name} ( {' ; '.join(args)} )")
+
+    return st.sampled_from(sorted(PREDICATE_SIGNATURES)).flatmap(apply)
+
+
+def formula_text(new_vars: bool = False, max_leaves: int = 8, predicates: bool = False):
+    """Formula texts; with ``predicates``, atoms may apply PREDICATE_SIGNATURES."""
+    leaves = atom_text(new_vars)
+    if predicates:
+        leaves = st.one_of(leaves, predicate_atom_text(new_vars))
+
     def extend(children):
         unary = children.map(lambda f: f"! {f}")
         binary = st.builds(
@@ -41,7 +60,7 @@ def formula_text(new_vars: bool = False, max_leaves: int = 8):
         )
         return st.one_of(unary, binary, quantified)
 
-    return st.recursive(atom_text(new_vars), extend, max_leaves=max_leaves)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 def _close(text: str) -> str:

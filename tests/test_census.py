@@ -2,6 +2,8 @@ import importlib
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -184,6 +186,17 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert counts(census(2, jobs=8)) == FROZEN[2]
         assert StubPool.sizes == []
+
+
+def test_import_does_not_load_multiprocessing():
+    """Only a census with more than one job starts a pool, so only it imports multiprocessing."""
+    code = "import sys, zfcantor; assert 'multiprocessing' not in sys.modules, 'loaded at import'"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestKernelAgainstOracles:
