@@ -11,14 +11,11 @@ from .analysis import (
     PairResolution,
     SurjectionWitness,
     cantor_witness,
-    d_power_set,
     extract_surjection,
     is_cantor,
     is_strongly_extensive,
     omega_level_ranges,
     omega_prefix,
-    resolve_opa,
-    semantic_predicate,
 )
 from .cantor import (
     EXPECTED_LENGTHS,

@@ -19,8 +19,10 @@ a downset when it is closed under removing one bit, so that check
 makes at most Σ|N(v)| lookups and enumerates no subsets.  The census
 feeds the kernel the mask tuples of its representatives, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
-``Digraph``.  ``omega_prefix`` writes the construction in closed form:
-vertex v of level [lo, hi] has the in-mask v - lo.
+``Digraph``, built once per digraph as ``Digraph.analysis``, which the
+module-level ``is_cantor``, ``cantor_witness`` and ``extract_surjection``
+read.  ``omega_prefix`` writes the construction in closed form: vertex v
+of level [lo, hi] has the in-mask v - lo.
 """
 from __future__ import annotations
 
@@ -226,14 +228,19 @@ class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
     Reads ``Digraph.masks`` and builds the unique-vertex map and the
-    ordered-pair table once; the predicate methods are lookups into them.
+    ordered-pair table once; the predicate methods are lookups into them,
+    and the Cantor scan runs at most once.  It keeps no reference to the
+    digraph, so the one that ``Digraph.analysis`` caches makes no cycle.
     """
 
     def __init__(self, digraph: Digraph):
-        self.digraph = digraph
+        self.n = digraph.n
         self.masks = digraph.masks
         self._the = unique_vertices(self.masks)
         self._pairs = pair_table(self._the)
+        self._unscanned = True
+
+    check_vertex = Digraph.check_vertex  # reads only self.n
 
     # -- the nine predicates ------------------------------------------------
 
@@ -268,10 +275,11 @@ class DigraphAnalysis:
     # -- derived operations --------------------------------------------------
 
     def d_power_set(self, u: int) -> frozenset[int]:
-        self.digraph.check_vertex(u)
+        self.check_vertex(u)
         return mask_vertices(power_mask(self.masks, u))
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
+        """Evaluate one of the nine predicates directly on the digraph."""
         # position 1: the predicate name's place in `NAME ( args )`
         arity = PREDICATE_ARITIES.get(name)
         if arity is None:
@@ -279,19 +287,19 @@ class DigraphAnalysis:
         if len(args) != arity:
             raise ArityMismatch(1, f"{name} takes {arity} arguments, got {len(args)}")
         for a in args:
-            self.digraph.check_vertex(a)
+            self.check_vertex(a)
         return getattr(self, name.lower())(*args)
 
     def resolve_opa(self, u: int) -> PairResolution | None:
-        self.digraph.check_vertex(u)
+        self.check_vertex(u)
         res = self._pairs.get(u)
         if res is None:
             return None
         return PairResolution(u, res[0], res[1])
 
     def extract_surjection(self, u: int, v: int) -> SurjectionWitness:
-        self.digraph.check_vertex(u)
-        self.digraph.check_vertex(v)
+        self.check_vertex(u)
+        self.check_vertex(v)
         if not self.sur(u, v):
             raise NotASurjection(f"vertex {u} is not a surjection from {v} to its power set")
         graph = frozenset(self._pairs[p] for p in mask_vertices(self.masks[u - 1]))
@@ -303,31 +311,21 @@ class DigraphAnalysis:
 
     def cantor_witness(self) -> tuple[int, int] | None:
         """A pair (u, v) with v a surjection from u onto its power set, if any."""
-        return find_surjection(self.masks, self._pairs)
+        if self._unscanned:
+            self._witness = find_surjection(self.masks, self._pairs)
+            self._unscanned = False
+        return self._witness
 
     def is_cantor(self) -> bool:
         return self.cantor_witness() is None
 
 
 # ---------------------------------------------------------------------------
-# Module-level wrappers
-
-
-def d_power_set(digraph: Digraph, u: int) -> frozenset[int]:
-    return DigraphAnalysis(digraph).d_power_set(u)
-
-
-def semantic_predicate(digraph: Digraph, name: str, args: tuple[int, ...]) -> bool:
-    """Evaluate one of the nine predicates directly on the digraph."""
-    return DigraphAnalysis(digraph).predicate(name, tuple(args))
-
-
-def resolve_opa(digraph: Digraph, u: int) -> PairResolution | None:
-    return DigraphAnalysis(digraph).resolve_opa(u)
+# Module-level calls on a digraph's cached analysis
 
 
 def extract_surjection(digraph: Digraph, u: int, v: int) -> SurjectionWitness:
-    return DigraphAnalysis(digraph).extract_surjection(u, v)
+    return digraph.analysis.extract_surjection(u, v)
 
 
 def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
@@ -340,14 +338,14 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     on every digraph.
     """
     if method == "semantic":
-        return DigraphAnalysis(digraph).is_cantor()
+        return digraph.analysis.is_cantor()
     if method == "phi":
         return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 
 
 def cantor_witness(digraph: Digraph) -> tuple[int, int] | None:
-    return DigraphAnalysis(digraph).cantor_witness()
+    return digraph.analysis.cantor_witness()
 
 
 def is_strongly_extensive(digraph: Digraph) -> bool:

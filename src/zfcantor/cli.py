@@ -164,12 +164,8 @@ def cmd_eval(args) -> int:
 
 def cmd_is_cantor(args) -> int:
     digraph = _load_digraph_arg(args)
-    if args.method == "semantic":
-        witness = analysis.DigraphAnalysis(digraph).cantor_witness()
-        value = witness is None
-    else:
-        value = analysis.is_cantor(digraph, method=args.method)
-        witness = None if value else analysis.cantor_witness(digraph)
+    value = analysis.is_cantor(digraph, method=args.method)
+    witness = None if value else analysis.cantor_witness(digraph)
     print(f"is-cantor {'true' if value else 'false'}")
     if witness is not None:
         print(f"witness u={witness[0]} v={witness[1]}")

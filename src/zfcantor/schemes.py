@@ -20,8 +20,8 @@ from .formulas import (
     Formula,
     Quantifier,
     Word,
+    _variable_sites,
     free_variables,
-    occurrences,
     parse,
     predicate_atoms,
     render,
@@ -123,12 +123,6 @@ def _check_params(sc: Shortcut) -> None:
     )
 
 
-def _set_var_indices(body: Formula) -> frozenset[int]:
-    return frozenset(
-        occ.variable.index for occ in occurrences(body) if occ.variable.kind is SymbolKind.SET_VAR
-    )
-
-
 def _binder_indices(body: Formula) -> frozenset[int]:
     return frozenset(
         node.var.index for node in subformulas(body) if isinstance(node, Quantifier)
@@ -160,15 +154,15 @@ def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
     v_sets: list[frozenset[int]] = []
     for i, sc in enumerate(shortcuts, start=1):
         _check_params(sc)
-        for var in free_variables(sc.body):
-            if var.kind is SymbolKind.SET_VAR:
-                raise FreeSetVariable(f"{sc.name}: set variable {var.token} occurs free in the body")
+        # in position order, so each error names the leftmost offender
+        sites = _variable_sites(sc.body)
+        free = [var for var, _, bound in sites if not bound and var.kind is SymbolKind.SET_VAR]
+        if free:
+            raise FreeSetVariable(f"{sc.name}: set variable {free[0].token} occurs free in the body")
         params = set(sc.params)
-        for occ in occurrences(sc.body):
-            if occ.variable.kind is SymbolKind.NEW_VAR and occ.variable not in params:
-                raise ForeignNewVariable(
-                    f"{sc.name}: new variable {occ.variable.token} is not a parameter"
-                )
+        foreign = [var for var, _, _ in sites if var.kind is SymbolKind.NEW_VAR and var not in params]
+        if foreign:
+            raise ForeignNewVariable(f"{sc.name}: new variable {foreign[0].token} is not a parameter")
         refs = set()
         for atom in predicate_atoms(sc.body):
             if atom.name not in index:
@@ -186,7 +180,7 @@ def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
                 f" (position {bad[0]}); only earlier predicates are allowed"
             )
         r_sets.append(frozenset(refs))
-        v_sets.append(_set_var_indices(sc.body))
+        v_sets.append(frozenset(var.index for var, _, _ in sites if var.kind is SymbolKind.SET_VAR))
 
     for i in range(len(shortcuts)):
         for j in range(i + 1, len(shortcuts)):

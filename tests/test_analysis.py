@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -21,15 +23,12 @@ from zfcantor.analysis import (
     NotASurjection,
     SizeGuardExceeded,
     cantor_witness,
-    d_power_set,
     extract_surjection,
     is_cantor,
     is_strongly_extensive,
     masks_strongly_extensive,
     omega_level_ranges,
     omega_prefix,
-    resolve_opa,
-    semantic_predicate,
 )
 from zfcantor.cantor import PREDICATE_ARITIES
 from zfcantor.census import digraph_from_counter
@@ -73,56 +72,56 @@ class TestNeighborhoods:
 
 class TestDPowerSet:
     def test_edgeless_everything_is_a_subset(self):
-        assert d_power_set(edgeless(2), 1) == {1, 2}
+        assert edgeless(2).analysis.d_power_set(1) == {1, 2}
 
     def test_vertex_out_of_range(self):
         for u in (0, 4):
             with pytest.raises(VertexOutOfRange):
                 DigraphAnalysis(edgeless(3)).d_power_set(u)
             with pytest.raises(VertexOutOfRange):
-                d_power_set(edgeless(3), u)
+                edgeless(3).analysis.d_power_set(u)
 
     def test_all_loops_only_self(self):
-        assert d_power_set(all_loops(2), 1) == {1}
+        assert all_loops(2).analysis.d_power_set(1) == {1}
 
     def test_single_arrow(self):
-        assert d_power_set(Digraph(2, frozenset({(1, 2)})), 2) == {1, 2}
+        assert Digraph(2, frozenset({(1, 2)})).analysis.d_power_set(2) == {1, 2}
 
     def test_subset_is_reflexive(self):
         for counter in range(16):
             d = digraph_from_counter(2, counter)
             for u in d.vertices:
-                assert semantic_predicate(d, "SUS", (u, u))
+                assert d.analysis.predicate("SUS", (u, u))
 
 
 class TestSemanticPredicates:
     def test_all_loops_ordered_pair(self):
-        assert semantic_predicate(all_loops(2), "OPA", (1, 1, 1)) is True
+        assert all_loops(2).analysis.predicate("OPA", (1, 1, 1)) is True
 
     def test_singleton_vertex(self):
         d = Digraph(2, frozenset({(1, 2)}))
-        assert semantic_predicate(d, "SIN", (2, 1)) is True
-        assert semantic_predicate(d, "SIN", (1, 1)) is False
+        assert d.analysis.predicate("SIN", (2, 1)) is True
+        assert d.analysis.predicate("SIN", (1, 1)) is False
 
     def test_all_loops_vertex_surjects_onto_itself(self):
-        assert semantic_predicate(all_loops(2), "SUR", (1, 1)) is True
+        assert all_loops(2).analysis.predicate("SUR", (1, 1)) is True
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            semantic_predicate(edgeless(1), "SUS", (1, 1, 1))
+            edgeless(1).analysis.predicate("SUS", (1, 1, 1))
 
     def test_arity_mismatch_is_the_parser_error(self):
         assert ArityMismatch is formulas.ArityMismatch
         with pytest.raises(formulas.ParseError, match="position 1: SUS takes 2 arguments, got 1"):
-            semantic_predicate(edgeless(1), "SUS", (1,))
+            edgeless(1).analysis.predicate("SUS", (1,))
 
     def test_unknown_name(self):
         with pytest.raises(formulas.UnknownPredicate, match="position 1: predicate 'NOPE'"):
-            semantic_predicate(edgeless(1), "NOPE", (1,))
+            edgeless(1).analysis.predicate("NOPE", (1,))
 
     def test_out_of_range_vertex(self):
         with pytest.raises(VertexOutOfRange):
-            semantic_predicate(edgeless(1), "SUS", (1, 2))
+            edgeless(1).analysis.predicate("SUS", (1, 2))
 
     def test_matches_naive_oracle_on_all_two_vertex_digraphs(self):
         for counter in range(16):
@@ -136,12 +135,12 @@ class TestSemanticPredicates:
 
 class TestResolveOpa:
     def test_all_loops_resolution(self):
-        res = resolve_opa(all_loops(3), 2)
+        res = all_loops(3).analysis.resolve_opa(2)
         assert (res.first, res.second) == (2, 2)
         assert res.pair_vertex == 2
 
     def test_edgeless_has_no_pairs(self):
-        assert resolve_opa(edgeless(2), 1) is None
+        assert edgeless(2).analysis.resolve_opa(1) is None
 
     def test_at_most_one_resolution_everywhere_small(self):
         # the table build scans exhaustively and would raise on ambiguity
@@ -159,7 +158,7 @@ class TestExtractSurjection:
     def test_two_vertex_loops(self):
         witness = extract_surjection(all_loops(2), 1, 1)
         assert witness.graph == {(1, 1)}
-        assert d_power_set(all_loops(2), 1) == {b for _, b in witness.graph}
+        assert all_loops(2).analysis.d_power_set(1) == {b for _, b in witness.graph}
 
     def test_not_a_surjection(self):
         with pytest.raises(NotASurjection):
@@ -247,6 +246,38 @@ def test_kernel_matches_naive_oracle_beyond_n5():
         with_pairs += any(ctx.resolve_opa(u) for u in d.vertices)
         non_cantor += first is not None
     assert with_pairs >= 80 and non_cantor >= 20, (with_pairs, non_cantor)
+
+
+class TestOneAnalysisPerDigraph:
+    def test_the_analysis_is_cached(self):
+        d = THIRD_EXAMPLE
+        assert d.analysis is d.analysis
+        assert d.analysis.masks is d.masks
+
+    @pytest.mark.parametrize("d", [all_loops(2), THIRD_EXAMPLE], ids=["non-cantor", "cantor"])
+    def test_the_calls_share_one_pair_table_and_one_scan(self, kernel_calls, d):
+        d = Digraph.from_masks(d.masks)  # a copy with nothing cached yet
+        value = is_cantor(d)
+        witness = cantor_witness(d)
+        assert (witness is None) == value
+        if witness is not None:
+            extract_surjection(d, witness[1], witness[0])
+        assert is_cantor(d) == value and cantor_witness(d) == witness
+        assert kernel_calls == {"pair_table": 1, "find_surjection": 1}
+
+    @pytest.mark.parametrize("make", [lambda: all_loops(2), lambda: omega_prefix(4)], ids=["loops", "omega4"])
+    def test_a_dropped_digraph_is_freed_without_the_collector(self, make):
+        gc.disable()
+        try:
+            d = make()
+            witness = cantor_witness(d)
+            if is_cantor(d) is False:
+                extract_surjection(d, witness[1], witness[0])
+            ref = weakref.ref(d)
+            del d
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestStronglyExtensive:

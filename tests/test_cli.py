@@ -159,6 +159,13 @@ class TestDigraphVerbs:
         assert lines[0] == "is-cantor false"
         assert lines[1] == "witness u=1 v=1"
 
+    @pytest.mark.parametrize("method", ["semantic", "phi"])
+    def test_is_cantor_builds_one_analysis(self, run, digraph_file, kernel_calls, method):
+        path = digraph_file(LOOPS2)
+        expected = (1, "is-cantor false\nwitness u=1 v=1\n", "")
+        assert run("is-cantor", "--digraph", path, "--method", method) == expected
+        assert kernel_calls == {"pair_table": 1, "find_surjection": 1}
+
     def test_is_cantor_phi_method(self, run, digraph_file):
         path = digraph_file("vertices 1\n")
         code, out, _ = run("is-cantor", "--digraph", path, "--method", "phi")

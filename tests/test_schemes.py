@@ -1,4 +1,5 @@
 import time
+from functools import reduce
 
 import pytest
 
@@ -81,6 +82,14 @@ class TestValidateScheme:
     def test_free_set_variable_rejected(self):
         with pytest.raises(FreeSetVariable):
             validate_scheme([shortcut("P", (X,), "( x1 in ?x )")])
+
+    def test_free_set_variable_named_is_the_leftmost(self):
+        # symbols hash by identity, so a walk in set order names any of them
+        for first in range(1, 22):
+            order = [(first + k - 1) % 21 + 1 for k in range(21)]
+            body = reduce(lambda b, i: f"( {b} & ( x{i} = x{i} ) )", order[1:], f"( x{first} = x{first} )")
+            with pytest.raises(FreeSetVariable, match=f"^P: set variable x{first} occurs free"):
+                validate_scheme([shortcut("P", (X,), body)])
 
     def test_foreign_new_variable_rejected(self):
         with pytest.raises(ForeignNewVariable):
