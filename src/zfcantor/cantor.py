@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .formulas import Formula, NEGATION, count, is_sentence, parse, render, tokenize
-from .schemes import Scheme, Shortcut, expand, instantiate, validate_scheme
+from .formulas import NEGATION, Exists, Forall, Formula, Not, count, is_sentence, parse, render, tokenize
+from .schemes import Scheme, Shortcut, _instantiate, expand, validate_scheme
 from .symbols import SymbolKind, new_var, set_var
 
 # name, parameters, body (token grammar)
@@ -110,20 +110,17 @@ def emit_expansions() -> list[NamedExpansion]:
 def emit_phi() -> Formula:
     """The Cantor sentence: no vertex is a surjection onto any power set.
 
-    Built as `( A x18 ! ( E x19 <SUR expansion at (x19; x18)> ) )`; the
+    Built as `( A x18 ! ( E x19 <SUR expansion at (x19; x18)> ) )`: the
+    SUR expansion is instantiated with its spans starting at position 8
+    and wrapped in the three nodes around it, with no word parsed.  The
     result is a 494-symbol sentence over set variables x1..x19 with a
-    single negation.
+    single negation, which the checks below confirm on its rendered word.
     """
     surjection = _expansions()[-1].formula
-    body = instantiate(surjection, {new_var("x"): set_var(19), new_var("y"): set_var(18)})
-    word = (
-        tokenize("( A x18 !")
-        + tokenize("( E x19")
-        + render(body)
-        + tokenize(")")
-        + tokenize(")")
-    )
-    tree = parse(word)
+    body = _instantiate(surjection, {new_var("x"): set_var(19), new_var("y"): set_var(18)}, 8)
+    end = body.span[1]
+    tree = Forall((1, end + 2), set_var(18), Not((4, end + 1), Exists((5, end + 1), set_var(19), body)))
+    word = render(tree)
     if len(word) != SENTENCE_LENGTH or count(word, NEGATION) != SENTENCE_NEGATIONS:
         raise LengthMismatch(
             f"sentence has length {len(word)} and {count(word, NEGATION)} negations,"

@@ -9,7 +9,11 @@ of set-variable indices used by the bodies are strictly increasing
 
 Forward expansion rewrites each body into a predicate-free formula by
 splicing in the already-expanded bodies of the referenced predicates,
-with formal parameters renamed to the actual arguments.
+with formal parameters renamed to the actual arguments.  The splice
+works on trees: each body is copied once, every predicate atom becomes
+a copy of the referenced expansion tree with its variables renamed, and
+every span is moved to its place in the new word.  So no expansion is
+rendered or parsed again, and each tree equals the parse of its word.
 """
 from __future__ import annotations
 
@@ -17,18 +21,20 @@ from dataclasses import dataclass
 
 from .digraphs import SizeGuardExceeded
 from .formulas import (
+    MAX_DEPTH,
+    Connective,
     Formula,
+    NestingTooDeep,
+    Not,
+    PredicateAtom,
     Quantifier,
-    Word,
+    RelationAtom,
     _variable_sites,
-    free_variables,
     parse,
     predicate_atoms,
-    render,
     subformulas,
     tokenize,
 )
-from .substitution import sub1, sub2
 from .symbols import PredicateSignature, Symbol, SymbolKind, new_var
 
 INDEXED_PARAMS = tuple(new_var(f"y{i}") for i in range(1, 10))
@@ -68,7 +74,7 @@ class UncoveredParameter(SchemeError):
 
 
 class SubstitutabilityViolation(SchemeError):
-    """Internal consistency failure: an expansion would capture a variable."""
+    """An expansion or an instantiation would capture a variable."""
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,6 @@ class Scheme:
     v_sets: tuple[frozenset[int], ...]
     mode: str = "strict"
 
-    def index_of(self, name: str) -> int:
-        for i, sc in enumerate(self.shortcuts, start=1):
-            if sc.name == name:
-                return i
-        raise KeyError(name)
-
 
 def _check_params(sc: Shortcut) -> None:
     k = sc.arity
@@ -123,10 +123,17 @@ def _check_params(sc: Shortcut) -> None:
     )
 
 
-def _binder_indices(body: Formula) -> frozenset[int]:
-    return frozenset(
-        node.var.index for node in subformulas(body) if isinstance(node, Quantifier)
-    )
+def _applied(sc: Shortcut, atom: PredicateAtom, index: dict[str, int], shortcuts) -> int:
+    """The 0-based position of the shortcut that an atom of sc's body applies."""
+    k = index.get(atom.name)
+    if k is None:
+        raise SchemeError(f"{sc.name}: unknown predicate {atom.name} in the body")
+    if len(atom.args) != shortcuts[k].arity:
+        raise SchemeError(
+            f"{sc.name}: {atom.name} has arity {shortcuts[k].arity},"
+            f" applied to {len(atom.args)} arguments"
+        )
+    return k
 
 
 def _precedes(a: frozenset[int], b: frozenset[int]) -> bool:
@@ -147,8 +154,7 @@ def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
     names = [sc.name for sc in shortcuts]
     if len(set(names)) != len(names):
         raise SchemeError("shortcut names must be distinct")
-    index = {name: i for i, name in enumerate(names, start=1)}
-    arity = {sc.name: sc.arity for sc in shortcuts}
+    index = {name: i for i, name in enumerate(names)}
 
     r_sets: list[frozenset[int]] = []
     v_sets: list[frozenset[int]] = []
@@ -165,14 +171,7 @@ def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
             raise ForeignNewVariable(f"{sc.name}: new variable {foreign[0].token} is not a parameter")
         refs = set()
         for atom in predicate_atoms(sc.body):
-            if atom.name not in index:
-                raise SchemeError(f"{sc.name}: unknown predicate {atom.name} in the body")
-            if len(atom.args) != arity[atom.name]:
-                raise SchemeError(
-                    f"{sc.name}: {atom.name} has arity {arity[atom.name]},"
-                    f" applied to {len(atom.args)} arguments"
-                )
-            refs.add(index[atom.name])
+            refs.add(_applied(sc, atom, index, shortcuts) + 1)
         bad = [k for k in refs if k >= i]
         if bad:
             raise CircularReference(
@@ -200,41 +199,77 @@ def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
 def expand(scheme: Scheme) -> list[Formula]:
     """Forward expansion of every shortcut into a predicate-free formula.
 
-    The first body is its own expansion.  Each later body has every
-    predicate atom replaced, in place, by the referenced expansion with
-    its parameters renamed to the atom's arguments.  The length of each
-    expansion is known before it is spliced, and SizeGuardExceeded is
-    raised once the expansions together pass MAX_EXPANSION_SYMBOLS.
+    The first body is its own expansion.  Each later body is copied once,
+    with every predicate atom replaced by the tree of the referenced
+    expansion, its parameters renamed to the atom's arguments, and every
+    span moved to its place in the new word; nothing is rendered or parsed
+    again.  The length of each expansion is known from the spans before
+    it is built, and SizeGuardExceeded is raised once the expansions
+    together pass MAX_EXPANSION_SYMBOLS.  An expansion nesting deeper than
+    MAX_DEPTH raises NestingTooDeep, as parse would on its word.
     """
-    sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
-    words: list[Word] = []
+    index = {sc.name: i for i, sc in enumerate(scheme.shortcuts)}
     trees: list[Formula] = []
     binders: list[frozenset[int]] = []
     total = 0
     for sc in scheme.shortcuts:
-        body_word = render(sc.body)
-        body_tree = parse(body_word, sigs)
-        atoms = [(atom, scheme.index_of(atom.name)) for atom in predicate_atoms(body_tree)]
-        total += len(body_word) + sum(len(words[k - 1]) - len(atom) for atom, k in atoms)
+        atoms: list[tuple[PredicateAtom, int]] = []
+        quantified = set()
+        for node in subformulas(sc.body):
+            if isinstance(node, Quantifier):
+                quantified.add(node.var.index)
+            elif isinstance(node, PredicateAtom):
+                atoms.append((node, _applied(sc, node, index, scheme.shortcuts)))
+        total += len(sc.body) + sum(len(trees[k]) - len(atom) for atom, k in atoms)
         if total > MAX_EXPANSION_SYMBOLS:
             raise SizeGuardExceeded(
                 f"{sc.name}: the expansions reach {total} symbols, over the guard"
                 f" {MAX_EXPANSION_SYMBOLS}"
             )
-        host_binders = _binder_indices(body_tree)
-        patches = []
+        host_binders = frozenset(quantified)
+        inserts = {}
         for atom, k in atoms:
-            source = scheme.shortcuts[k - 1]
-            # renaming parameters leaves the quantified variables as they are
-            _check_substitutable(sc.name, binders[k - 1], host_binders, atom.args)
-            patches.append((sub1(words[k - 1], dict(zip(source.params, atom.args))), *atom.span))
-        word = sub2(body_word, patches) if patches else body_word
-        if any(sym.kind is SymbolKind.PREDICATE for sym in set(word)):
-            raise SubstitutabilityViolation(f"{sc.name}: expansion still contains a predicate")
-        words.append(word)
-        trees.append(parse(word))
-        binders.append(_binder_indices(trees[-1]))
+            # renaming parameters leaves the quantified variables as they are,
+            # so the expansion quantifies what its body and its inserts do
+            _check_substitutable(sc.name, binders[k], host_binders, atom.args)
+            inserts[atom.span[0]] = (trees[k], dict(zip(scheme.shortcuts[k].params, atom.args)))
+            quantified |= binders[k]
+        trees.append(_relocate(sc.body, 1, 0, {}, inserts)[0])
+        binders.append(frozenset(quantified))
     return trees
+
+
+def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts) -> tuple[Formula, int]:
+    """A copy of node whose word starts at pos, and the copy's last position.
+
+    Variables are renamed by ``rename``.  ``inserts`` maps the start of
+    each predicate atom of a shortcut body to the expansion replacing it
+    and the renaming of that expansion's parameters; it is None inside
+    an inserted expansion or an instantiated one, which hold no atoms.
+    The recursion takes one level per compound formula and stops past
+    MAX_DEPTH with the error parse gives at the same position.
+    """
+    if depth > MAX_DEPTH:
+        raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
+    if isinstance(node, RelationAtom):
+        left, right = node.left, node.right
+        return node.__class__((pos, pos + 4), rename.get(left, left), rename.get(right, right)), pos + 4
+    if isinstance(node, Connective):
+        left, end = _relocate(node.left, pos + 1, depth + 1, rename, inserts)
+        right, end = _relocate(node.right, end + 2, depth + 1, rename, inserts)
+        return node.__class__((pos, end + 1), left, right), end + 1
+    if isinstance(node, Quantifier):
+        child, end = _relocate(node.child, pos + 3, depth + 1, rename, inserts)
+        return node.__class__((pos, end + 1), node.var, child), end + 1
+    if isinstance(node, Not):
+        child, end = _relocate(node.child, pos + 1, depth + 1, rename, inserts)
+        return Not((pos, end), child), end
+    if isinstance(node, PredicateAtom):
+        if inserts is None:
+            raise SubstitutabilityViolation(f"an expansion still contains the predicate {node.name}")
+        tree, renaming = inserts[node.span[0]]
+        return _relocate(tree, pos, depth, renaming, None)
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def _check_substitutable(name, inserted_binders: frozenset[int], host_binders, args) -> None:
@@ -253,19 +288,35 @@ def _check_substitutable(name, inserted_binders: frozenset[int], host_binders, a
 def instantiate(expansion: Formula, assignment) -> Formula:
     """Rename the free new variables of an expansion to other variables.
 
-    ``assignment`` maps parameter symbols to variable symbols and must
-    cover every free new variable; length is preserved.
+    ``assignment`` maps new variables to variable symbols and must cover
+    every free new variable.  A set variable the expansion quantifies
+    is refused as a target, since it would capture the renamed
+    occurrences.  The tree is copied once with its variables renamed;
+    length and spans are preserved, and nothing is parsed again.
     """
+    return _instantiate(expansion, assignment, 1)
+
+
+def _instantiate(expansion: Formula, assignment, start: int) -> Formula:
+    """instantiate, with the copy's word starting at position start."""
     table = dict(assignment)
-    for target in table.values():
+    for source, target in table.items():
+        if getattr(source, "kind", None) is not SymbolKind.NEW_VAR:
+            raise SchemeError(f"instantiation source {source!r} is not a new variable")
         if not target.is_variable:
             raise SchemeError(f"instantiation target {target!r} is not a variable")
-    free = {v for v in free_variables(expansion) if v.kind is SymbolKind.NEW_VAR}
-    missing = free - set(table)
+    sites = _variable_sites(expansion)
+    missing = {v for v, _, _ in sites if v.kind is SymbolKind.NEW_VAR} - set(table)
     if missing:
         names = ", ".join(sorted(v.token for v in missing))
         raise UncoveredParameter(f"assignment does not cover {names}")
-    return parse(sub1(render(expansion), table))
+    quantified = {v for v, _, bound in sites if bound}
+    for target in table.values():
+        if target in quantified:
+            raise SubstitutabilityViolation(
+                f"instantiation target {target.token} would be captured inside the expansion"
+            )
+    return _relocate(expansion, start, 0, table, None)[0]
 
 
 # ---------------------------------------------------------------------------

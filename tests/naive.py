@@ -10,7 +10,9 @@ evaluator on small digraphs.
 bitmask kernel on every counter, with no symmetry reduction, as the
 oracle for the census's weighted representatives and its relabeled
 witness list; ``enumerate_digraphs`` yields the digraphs of the same
-counters.
+counters.  ``naive_expand`` and ``naive_instantiate`` are the word path
+of scheme expansion (render, rename and splice by the substitution
+operations, parse again), the oracle for the package's tree splice.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from zfcantor.analysis import (
     pair_table,
     unique_vertices,
 )
+from zfcantor import schemes
 from zfcantor.census import HARD_MAX_N, digraph_from_counter
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.formulas import (
@@ -44,9 +47,16 @@ from zfcantor.formulas import (
     NestingTooDeep,
     Or,
     PredicateAtom,
+    Quantifier,
     UnknownPredicate,
     UnknownToken,
+    free_variables,
+    parse,
+    predicate_atoms,
+    render,
+    subformulas,
 )
+from zfcantor.substitution import sub1, sub2
 from zfcantor.symbols import (
     FIXED_SYMBOLS,
     LPAREN,
@@ -414,3 +424,63 @@ def naive_parse(word, signatures: dict[str, int] | None = None):
     if nxt != len(word) + 1:
         raise NotAFormula(nxt, "trailing symbols after a complete formula")
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Scheme expansion on words: render, rename, splice, parse again
+
+
+def _binder_indices(tree) -> frozenset[int]:
+    return frozenset(node.var.index for node in subformulas(tree) if isinstance(node, Quantifier))
+
+
+def naive_expand(scheme) -> list:
+    """Forward expansion by words.
+
+    Each body is rendered and parsed again; every predicate atom's span
+    is patched with the referenced expansion's word, its parameters
+    renamed by sub1, all at once by sub2; the result is parsed from
+    scratch.  The size guard reads ``schemes.MAX_EXPANSION_SYMBOLS`` at
+    call time, so a test can lower it for both paths at once.
+    """
+    sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
+    names = [sc.name for sc in scheme.shortcuts]
+    words, trees, binders = [], [], []
+    total = 0
+    for sc in scheme.shortcuts:
+        body_word = render(sc.body)
+        body_tree = parse(body_word, sigs)
+        atoms = [(atom, names.index(atom.name) + 1) for atom in predicate_atoms(body_tree)]
+        total += len(body_word) + sum(len(words[k - 1]) - len(atom) for atom, k in atoms)
+        if total > schemes.MAX_EXPANSION_SYMBOLS:
+            raise SizeGuardExceeded(
+                f"{sc.name}: the expansions reach {total} symbols, over the guard"
+                f" {schemes.MAX_EXPANSION_SYMBOLS}"
+            )
+        host_binders = _binder_indices(body_tree)
+        patches = []
+        for atom, k in atoms:
+            source = scheme.shortcuts[k - 1]
+            schemes._check_substitutable(sc.name, binders[k - 1], host_binders, atom.args)
+            patches.append((sub1(words[k - 1], dict(zip(source.params, atom.args))), *atom.span))
+        word = sub2(body_word, patches) if patches else body_word
+        if any(sym.kind is SymbolKind.PREDICATE for sym in set(word)):
+            raise schemes.SubstitutabilityViolation(f"{sc.name}: expansion still contains a predicate")
+        words.append(word)
+        trees.append(parse(word))
+        binders.append(_binder_indices(trees[-1]))
+    return trees
+
+
+def naive_instantiate(expansion, assignment):
+    """Rename by words: render, sub1, parse again.  Checks no capture."""
+    table = dict(assignment)
+    for target in table.values():
+        if not target.is_variable:
+            raise schemes.SchemeError(f"instantiation target {target!r} is not a variable")
+    free = {v for v in free_variables(expansion) if v.kind is SymbolKind.NEW_VAR}
+    missing = free - set(table)
+    if missing:
+        names = ", ".join(sorted(v.token for v in missing))
+        raise schemes.UncoveredParameter(f"assignment does not cover {names}")
+    return parse(sub1(render(expansion), table))

@@ -1,10 +1,14 @@
 """Shared hypothesis strategies."""
 from __future__ import annotations
 
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from zfcantor.digraphs import Digraph
 from zfcantor.formulas import occurrences, parse, tokenize
+
+# a failing 200-deep word takes minutes to shrink, so it is reported as drawn
+NO_SHRINK = settings(phases=[p for p in Phase if p is not Phase.shrink])
 
 SET_VAR_TOKENS = [f"x{i}" for i in range(1, 6)]
 NEW_VAR_TOKENS = ["?x", "?y"]
@@ -105,3 +109,57 @@ def word_with_disjoint_patches(draw, max_k: int = 4):
         v = draw(letter_words(min_size=1, max_size=3))
         patches.append((v, l, m))
     return u, patches
+
+
+LETTER_PARAMS = ("?x", "?y", "?z")
+
+
+@st.composite
+def scheme_lines(draw, max_lines: int = 4, clash: bool = False):
+    """Lines ``(name, params, body text)`` of a random strict-mode scheme.
+
+    Bodies apply earlier shortcuts only, use no new variable but their own
+    parameters and no set variable outside its quantifier, and quantify
+    fresh set variables numbered after every earlier body's.  A body may
+    start with a run of negations, so that expansions can nest past
+    MAX_DEPTH.  With ``clash``, binders are drawn from x1..x3 instead, so
+    the lines must be built into a Scheme without validation, and an
+    inserted expansion may quantify a variable of its host.
+    """
+    next_index = [draw(st.integers(1, 5))]
+    defined: list[tuple[str, int]] = []
+    lines = []
+
+    def binder() -> str:
+        if clash:
+            return f"x{draw(st.integers(1, 3))}"
+        next_index[0] += 1
+        return f"x{next_index[0] - 1}"
+
+    def formula(budget: int, scope: tuple[str, ...], params: tuple[str, ...]) -> str:
+        pool = st.sampled_from(scope + params)
+        kind = draw(st.integers(0, 4)) if budget > 0 else 0
+        if kind == 0:
+            if defined and draw(st.booleans()):
+                name, arity = draw(st.sampled_from(defined))
+                args = [draw(pool) for _ in range(arity)]
+                return f"{name} ( {' ; '.join(args)} )"
+            return f"( {draw(pool)} {draw(st.sampled_from(['in', '=']))} {draw(pool)} )"
+        if kind == 1:
+            return f"! {formula(budget - 1, scope, params)}"
+        if kind == 2:
+            var = binder()
+            return f"( {draw(st.sampled_from('EA'))} {var} {formula(budget - 1, scope + (var,), params)} )"
+        left = draw(st.integers(0, budget - 1))
+        op = draw(st.sampled_from(["->", "<->", "&", "|"]))
+        return f"( {formula(left, scope, params)} {op} {formula(budget - 1 - left, scope, params)} )"
+
+    for i in range(draw(st.integers(2, max_lines))):
+        arity = draw(st.integers(1, 3))
+        params = LETTER_PARAMS[:arity] if draw(st.booleans()) else tuple(f"?y{k}" for k in range(1, arity + 1))
+        negations = draw(st.sampled_from([0, 0, 110]))
+        body = "! " * negations + formula(draw(st.integers(0, 6)), (), params)
+        name = f"P{i + 1}"
+        lines.append((name, params, body))
+        defined.append((name, arity))
+    return lines

@@ -29,6 +29,11 @@ CHAIN8 = "".join(f"( E x{i} " for i in range(1, 9)) + reduce(
 DOUBLING20 = "P1 ( ?x ) := ( A x1 ( x1 in ?x ) )\n" + "".join(
     f"P{k} ( ?x ) := ( P{k - 1} ( ?x ) & P{k - 1} ( ?x ) )\n" for k in range(2, 21)
 )
+# 150 negations in each body: P2's expansion nests 301 deep, past MAX_DEPTH
+DEPTH_SCHEME = (
+    f"P1 ( ?x ) := {'! ' * 150}( A x1 ( x1 in ?x ) )\n"
+    f"P2 ( ?x ) := ( ( A x2 ( x2 in ?x ) ) & {'! ' * 150}P1 ( ?x ) )\n"
+)
 PATH3000 = "vertices 3000\n" + "".join(f"{v - 1} {v}\n" for v in range(2, 3001))
 
 
@@ -399,6 +404,13 @@ class TestInputGuards:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("invalid: P13: the expansions reach 98253 symbols")
+
+    def test_an_expansion_past_the_depth_bound_is_invalid(self, run, tmp_path):
+        path = tmp_path / "deep.scheme"
+        path.write_text(DEPTH_SCHEME)
+        code, out, err = run("expand-scheme", "--scheme", str(path))
+        assert (code, out) == (1, "")
+        assert err == "invalid: position 212: formulas nest deeper than 200 levels\n"
 
     def test_high_in_degree_is_a_false_verdict(self, run, digraph_file):
         # a 25-subset neighborhood cannot be strongly extensive on 26 vertices

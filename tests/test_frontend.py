@@ -14,11 +14,11 @@ import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from naive import naive_parse, naive_tokenize
-from strategies import PREDICATE_SIGNATURES, formula_text
+from strategies import NO_SHRINK, PREDICATE_SIGNATURES, formula_text
 from zfcantor import formulas
 from zfcantor.formulas import (
     MAX_DEPTH,
@@ -111,10 +111,6 @@ WRAPS = {
     "left": lambda f: f"( {f} & {ATOM} )",
     "right": lambda f: f"( {ATOM} -> {f} )",
 }
-
-
-# a failing 200-deep word takes minutes to shrink, so it is reported as drawn
-NO_SHRINK = settings(phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def nested(kinds, atom=ATOM):

@@ -1,12 +1,27 @@
+import re
 import time
 from functools import reduce
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naive import naive_expand, naive_instantiate
+from strategies import NO_SHRINK, scheme_lines
 from zfcantor import schemes
 from zfcantor.cantor import builtin_scheme, emit_expansions
 from zfcantor.digraphs import SizeGuardExceeded
-from zfcantor.formulas import free_variables, occurrences, parse_text, render, render_text
+from zfcantor.formulas import (
+    MAX_DEPTH,
+    NestingTooDeep,
+    free_variables,
+    occurrences,
+    parse,
+    parse_text,
+    render,
+    render_text,
+)
 from zfcantor.schemes import (
     MAX_EXPANSION_SYMBOLS,
     BadParameterList,
@@ -14,6 +29,7 @@ from zfcantor.schemes import (
     ForeignNewVariable,
     FreeSetVariable,
     Scheme,
+    SchemeError,
     Shortcut,
     SubstitutabilityViolation,
     UncoveredParameter,
@@ -23,7 +39,7 @@ from zfcantor.schemes import (
     parse_scheme_text,
     validate_scheme,
 )
-from zfcantor.symbols import SymbolKind, new_var, set_var
+from zfcantor.symbols import LPAREN, SymbolKind, new_var, set_var
 
 X, Y, Z = new_var("x"), new_var("y"), new_var("z")
 
@@ -37,6 +53,13 @@ def doubling_scheme(lines):
     text = ["P1 ( ?x ) := ( A x1 ( x1 in ?x ) )"]
     text += [f"P{k} ( ?x ) := ( P{k - 1} ( ?x ) & P{k - 1} ( ?x ) )" for k in range(2, lines + 1)]
     return "\n".join(text) + "\n"
+
+
+# 150 negations in each body: P2's expansion nests 301 deep, past MAX_DEPTH
+DEPTH_SCHEME = (
+    f"P1 ( ?x ) := {'! ' * 150}( A x1 ( x1 in ?x ) )\n"
+    f"P2 ( ?x ) := ( ( A x2 ( x2 in ?x ) ) & {'! ' * 150}P1 ( ?x ) )\n"
+)
 
 
 class TestValidateScheme:
@@ -161,8 +184,106 @@ class TestExpand:
         with pytest.raises(SubstitutabilityViolation):
             expand(bogus)
 
+    def test_wrong_arity_is_detected_on_malformed_metadata(self):
+        # bypass validation: the body applies the one-place P to two arguments
+        first = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )")
+        second = shortcut("Q", (X,), "P ( ?x ; ?x )", {"P": 2})
+        with pytest.raises(SchemeError, match="^Q: P has arity 1, applied to 2 arguments$"):
+            expand(Scheme((first, second), (), ()))
+
+
+class TestAgainstTheWordOracle:
+    """The tree splice against render, rename, splice by words and parse again."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return "ok", fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the class itself is compared
+            return type(exc), str(exc)
+
+    def assert_same(self, scheme, keep=None):
+        """Both paths on scheme, then on its last expansion with the first keep parameters assigned."""
+        got = self.outcome(expand, scheme)
+        assert got == self.outcome(naive_expand, scheme)  # spans included
+        if got[0] != "ok":
+            return got
+        for tree in got[1]:
+            assert parse(render(tree)) == tree
+        assignment = {p: set_var(100 + i) for i, p in enumerate(scheme.shortcuts[-1].params[:keep])}
+        inst = self.outcome(instantiate, got[1][-1], assignment)
+        assert inst == self.outcome(naive_instantiate, got[1][-1], assignment)
+        if inst[0] == "ok":
+            assert parse(render(inst[1])) == inst[1]
+        return got
+
+    @staticmethod
+    def build(lines, clash):
+        if not clash:
+            return parse_scheme_text("".join(f"{n} ( {' ; '.join(ps)} ) := {b}\n" for n, ps, b in lines))
+        sigs = {name: len(params) for name, params, _ in lines}
+        shortcuts = [
+            Shortcut(name, tuple(new_var(p[1:]) for p in params), parse_text(body, sigs))
+            for name, params, body in lines
+        ]
+        return Scheme(tuple(shortcuts), (), ())  # unvalidated: binders may clash
+
+    @settings(NO_SHRINK, max_examples=200)
+    @given(st.data())
+    def test_random_schemes(self, data):
+        clash = data.draw(st.booleans())
+        scheme = self.build(data.draw(scheme_lines(clash=clash)), clash)
+        bound = data.draw(st.sampled_from([MAX_EXPANSION_SYMBOLS, MAX_EXPANSION_SYMBOLS, 300]))
+        keep = data.draw(st.integers(0, 3))
+        with mock.patch.object(schemes, "MAX_EXPANSION_SYMBOLS", bound):
+            self.assert_same(scheme, keep)
+
+    @pytest.mark.parametrize("lines", range(1, 11))
+    def test_doubling_schemes(self, lines):
+        kind, trees = self.assert_same(parse_scheme_text(doubling_scheme(lines)))
+        assert len(render(trees[-1])) == 12 * 2 ** (lines - 1) - 3
+
+    def test_builtin_scheme(self):
+        self.assert_same(builtin_scheme())
+
+    @pytest.mark.parametrize("outer", [99, 100])
+    def test_depth_at_the_bound(self, outer):
+        # P1's atom nests 101 deep, so P2's nests 101 + outer deep
+        text = f"P1 ( ?x ) := {'! ' * 100}( A x1 ( x1 in ?x ) )\nP2 ( ?x ) := {'! ' * outer}P1 ( ?x )\n"
+        kind, value = self.assert_same(parse_scheme_text(text))
+        if outer == 99:
+            assert kind == "ok"
+        else:
+            assert (kind, value) == (NestingTooDeep, f"position 204: formulas nest deeper than {MAX_DEPTH} levels")
+
+    def test_no_word_is_parsed_again(self, monkeypatch):
+        monkeypatch.setattr(schemes, "parse", None)
+        trees = expand(builtin_scheme())
+        instantiate(trees[-1], {X: set_var(19), Y: set_var(18)})
+
+    @pytest.mark.parametrize(
+        "bodies, clash",
+        [
+            (["( E x1 P ( x1 ) )"], True),  # both quantify x1
+            (["( E x2 P ( x1 ) )"], True),  # P's x1 would capture the argument
+            (["( E x2 P ( x2 ) )"], False),
+            (["( E x2 P ( x2 ) )", "( E x1 Q ( x1 ) )"], True),  # Q's expansion quantifies x1
+        ],
+    )
+    def test_clashing_binders(self, bodies, clash):
+        sigs = {"P": 1, "Q": 1, "R": 1}
+        lines = [Shortcut("P", (X,), parse_text("( A x1 ( x1 in ?x ) )", sigs))]
+        lines += [Shortcut(name, (X,), parse_text(body, sigs)) for name, body in zip("QR", bodies)]
+        kind, _ = self.assert_same(Scheme(tuple(lines), (), ()))
+        assert (kind is SubstitutabilityViolation) == clash
+
 
 class TestExpansionGuard:
+    def test_an_expansion_past_the_depth_bound_is_refused(self):
+        scheme = parse_scheme_text(DEPTH_SCHEME)
+        with pytest.raises(NestingTooDeep, match=rf"^position 212: formulas nest deeper than {MAX_DEPTH} levels$"):
+            expand(scheme)
+
     def test_doubling_scheme_is_rejected_at_once(self):
         scheme = parse_scheme_text(doubling_scheme(20))
         start = time.perf_counter()
@@ -204,6 +325,21 @@ class TestInstantiate:
         e6 = emit_expansions()[5].formula
         with pytest.raises(UncoveredParameter):
             instantiate(e6, {X: set_var(1)})
+
+    def test_a_quantified_target_is_refused(self):
+        # ( A x1 ( ( x1 in ?x ) -> ( x1 in ?y ) ) ): x1 would capture ?x
+        e1 = emit_expansions()[0].formula
+        assignment = {X: set_var(1), Y: set_var(6)}
+        assert render_text(render(naive_instantiate(e1, assignment))) == "( A x1 ( ( x1 in x1 ) -> ( x1 in x6 ) ) )"
+        with pytest.raises(SubstitutabilityViolation, match="^instantiation target x1 would be captured"):
+            instantiate(e1, assignment)
+        instantiate(e1, {X: set_var(2), Y: set_var(6)})
+
+    @pytest.mark.parametrize("source", [LPAREN, set_var(1), "?x"])
+    def test_a_source_that_is_not_a_new_variable_is_refused(self, source):
+        e1 = emit_expansions()[0].formula
+        with pytest.raises(SchemeError, match=f"^{re.escape(f'instantiation source {source!r}')} is not a new variable$"):
+            instantiate(e1, {X: set_var(18), Y: set_var(19), source: set_var(3)})
 
     def test_extra_assignments_are_harmless(self):
         e1 = emit_expansions()[0].formula
