@@ -23,16 +23,20 @@ feeds the kernel the mask tuples of its representatives, and
 module-level ``is_cantor``, ``cantor_witness`` and ``extract_surjection``
 read.  ``omega_prefix`` writes the construction in closed form: vertex v
 of level [lo, hi] has the in-mask v - lo.
+
+The module imports only ``digraphs`` and ``records``, and ``digraphs``
+imports it back for ``Digraph.analysis``.  The sentence side (the
+Cantor sentence, the formula tree and its evaluator) is imported inside
+the two calls that need it, ``is_cantor(d, method="phi")`` and
+``DigraphAnalysis.predicate``, so the census and the semantic verdict
+never load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
-from .cantor import PREDICATE_ARITIES, emit_phi
 from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
-from .formulas import ArityMismatch, UnknownPredicate
-from .semantics import evaluate_sentence
+from .records import Record
 
 # Most levels of the strongly extensive construction: level 4 ends at
 # vertex 2059, and level 5 would add 2^2059 vertices.
@@ -51,17 +55,19 @@ class NotASurjection(AnalysisError):
     pass
 
 
-@dataclass(frozen=True)
-class PairResolution:
+class PairResolution(Record):
     """An ordered-pair vertex with its uniquely determined components."""
 
-    pair_vertex: int
-    first: int
-    second: int
+    __slots__ = _fields = ("pair_vertex", "first", "second")
+
+    def __init__(self, pair_vertex: int, first: int, second: int):
+        init = object.__setattr__
+        init(self, "pair_vertex", pair_vertex)
+        init(self, "first", first)
+        init(self, "second", second)
 
 
-@dataclass(frozen=True)
-class SurjectionWitness:
+class SurjectionWitness(Record):
     """The real-pair graph encoded by a surjection vertex.
 
     ``graph`` lists the (argument, value) pairs read off the elements of
@@ -69,9 +75,13 @@ class SurjectionWitness:
     domain_vertex.
     """
 
-    function_vertex: int
-    domain_vertex: int
-    graph: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("function_vertex", "domain_vertex", "graph")
+
+    def __init__(self, function_vertex: int, domain_vertex: int, graph: frozenset[tuple[int, int]]):
+        init = object.__setattr__
+        init(self, "function_vertex", function_vertex)
+        init(self, "domain_vertex", domain_vertex)
+        init(self, "graph", graph)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +290,9 @@ class DigraphAnalysis:
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
         """Evaluate one of the nine predicates directly on the digraph."""
+        from .cantor import PREDICATE_ARITIES
+        from .formulas import ArityMismatch, UnknownPredicate
+
         # position 1: the predicate name's place in `NAME ( args )`
         arity = PREDICATE_ARITIES.get(name)
         if arity is None:
@@ -340,6 +353,9 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     if method == "semantic":
         return digraph.analysis.is_cantor()
     if method == "phi":
+        from .cantor import emit_phi
+        from .semantics import evaluate_sentence
+
         return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 

@@ -10,10 +10,10 @@ the last expansion and has exactly 494 symbols, one of them a negation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .formulas import NEGATION, Exists, Forall, Formula, Not, count, is_sentence, parse, render, tokenize
+from .records import Record
 from .schemes import Scheme, Shortcut, _instantiate, expand, validate_scheme
 from .symbols import SymbolKind, new_var, set_var
 
@@ -62,15 +62,20 @@ class LengthMismatch(RuntimeError):
     """An expansion came out with the wrong length; the build is defective."""
 
 
-@dataclass(frozen=True)
-class NamedExpansion:
+class NamedExpansion(Record):
     """A predicate's expansion with its frozen length bookkeeping."""
 
-    name: str
-    index: int
-    formula: Formula
-    expected_length: int
-    expected_negations: int
+    __slots__ = _fields = ("name", "index", "formula", "expected_length", "expected_negations")
+
+    def __init__(
+        self, name: str, index: int, formula: Formula, expected_length: int, expected_negations: int
+    ):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "index", index)
+        init(self, "formula", formula)
+        init(self, "expected_length", expected_length)
+        init(self, "expected_negations", expected_negations)
 
 
 @lru_cache(maxsize=1)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -34,6 +33,7 @@ from typing import Iterator
 
 from .analysis import find_surjection, masks_strongly_extensive, pair_table, unique_vertices
 from .digraphs import Digraph, SizeGuardExceeded, transpose
+from .records import Record
 
 HARD_MAX_N = 5
 
@@ -43,15 +43,35 @@ class CensusChecksumError(RuntimeError):
     or its counts break strongly extensive <= Cantor <= total."""
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    total: int
-    strongly_extensive: int
-    cantor: int
-    elapsed_ms: float
-    # counters of the non-Cantor digraphs, in counter order, when asked for
-    non_cantor: tuple[int, ...] = field(default=(), repr=False, compare=False)
+class CensusRow(Record):
+    """One census row.
+
+    ``non_cantor`` holds the counters of the non-Cantor digraphs, in
+    counter order, when asked for; ``==``, ``hash`` and ``repr`` leave it out.
+    """
+
+    __slots__ = ("n", "total", "strongly_extensive", "cantor", "elapsed_ms", "non_cantor")
+    _fields = __slots__[:5]
+
+    def __init__(
+        self,
+        n: int,
+        total: int,
+        strongly_extensive: int,
+        cantor: int,
+        elapsed_ms: float,
+        non_cantor: tuple[int, ...] = (),
+    ):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "total", total)
+        init(self, "strongly_extensive", strongly_extensive)
+        init(self, "cantor", cantor)
+        init(self, "elapsed_ms", elapsed_ms)
+        init(self, "non_cantor", non_cantor)
+
+    def __reduce__(self):
+        return CensusRow, (*self._key(self), self.non_cantor)
 
 
 def _check_n(n: int) -> None:

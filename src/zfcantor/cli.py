@@ -4,7 +4,8 @@ Exit codes: 0 on success or a true verdict, 1 on a false or invalid
 domain verdict, 2 on usage and I/O errors, a stdout closed by its reader
 among them.  Verdict-style commands print one machine-readable line
 `<check> <true|false>`; length reports go to stderr so stdout stays
-pipeable.
+pipeable.  Each verb imports the layers it uses, so `is-cantor --method
+semantic` never loads the formula side.
 """
 from __future__ import annotations
 
@@ -12,24 +13,11 @@ import argparse
 import os
 import sys
 
-from . import analysis
-from .cantor import emit_expansions, emit_phi
-from .census import census, digraph_from_counter, format_row
-from .digraphs import Digraph, DigraphError, SizeGuardExceeded, dump_digraph, load_digraph
-from .formulas import (
-    NEGATION,
-    ParseError,
-    classify,
-    count,
-    parse,
-    render,
-    render_text,
-    tokenize,
-)
-from .schemes import SchemeError, expand, parse_scheme_text
-from .semantics import SemanticsError, evaluate
-from .substitution import SubstitutionError
-from .symbols import Symbol
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .digraphs import Digraph
+    from .symbols import Symbol
 
 USAGE_ERROR = 2
 FALSE_VERDICT = 1
@@ -73,12 +61,16 @@ def _formula_lines(args) -> list[str]:
 
 
 def _load_digraph_arg(args) -> Digraph:
+    from .digraphs import load_digraph
+
     if args.digraph is None:
         raise CliError("--digraph is required")
     return load_digraph(_read_source(args.digraph))
 
 
 def _parse_assignment(spec: str | None) -> dict[Symbol, int]:
+    from .formulas import tokenize
+
     env: dict[Symbol, int] = {}
     if not spec:
         return env
@@ -102,6 +94,8 @@ def _parse_assignment(spec: str | None) -> dict[Symbol, int]:
 
 
 def _annotated(word, annotate: bool) -> str:
+    from .formulas import NEGATION, count, render_text
+
     text = render_text(word)
     if annotate:
         text += f" # length={len(word)} neg={count(word, NEGATION)}"
@@ -113,6 +107,8 @@ def _annotated(word, annotate: bool) -> str:
 
 
 def cmd_parse(args) -> int:
+    from .formulas import parse, render, tokenize
+
     for line in _formula_lines(args):
         tree = parse(tokenize(line))
         print(f"ok length={len(render(tree))}")
@@ -120,6 +116,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .formulas import classify, parse, tokenize
+
     for line in _formula_lines(args):
         label, _, var = classify(parse(tokenize(line)))
         print(f"{label} {var.token}" if var is not None else label)
@@ -127,6 +125,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_expand_scheme(args) -> int:
+    from .formulas import render
+    from .schemes import expand, parse_scheme_text
+
     scheme = parse_scheme_text(_read_source(args.scheme), mode=args.mode)
     for tree in expand(scheme):
         print(_annotated(render(tree), args.annotate))
@@ -134,6 +135,9 @@ def cmd_expand_scheme(args) -> int:
 
 
 def cmd_emit_expansions(args) -> int:
+    from .cantor import emit_expansions
+    from .formulas import NEGATION, count, render
+
     for named in emit_expansions():
         word = render(named.formula)
         print(_annotated(word, args.annotate))
@@ -147,6 +151,9 @@ def cmd_emit_expansions(args) -> int:
 
 
 def cmd_emit_phi(args) -> int:
+    from .cantor import emit_phi
+    from .formulas import NEGATION, count, render
+
     word = render(emit_phi())
     print(_annotated(word, args.annotate))
     if args.check_lengths:
@@ -155,6 +162,9 @@ def cmd_emit_phi(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .formulas import parse, tokenize
+    from .semantics import evaluate
+
     digraph = _load_digraph_arg(args)
     tree = parse(tokenize(_formula_text(args)))
     value = evaluate(digraph, tree, _parse_assignment(args.assign))
@@ -163,6 +173,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_is_cantor(args) -> int:
+    from . import analysis
+
     digraph = _load_digraph_arg(args)
     value = analysis.is_cantor(digraph, method=args.method)
     witness = None if value else analysis.cantor_witness(digraph)
@@ -173,6 +185,8 @@ def cmd_is_cantor(args) -> int:
 
 
 def cmd_is_strongly_extensive(args) -> int:
+    from . import analysis
+
     digraph = _load_digraph_arg(args)
     value = analysis.is_strongly_extensive(digraph)
     print(f"is-strongly-extensive {'true' if value else 'false'}")
@@ -180,6 +194,8 @@ def cmd_is_strongly_extensive(args) -> int:
 
 
 def cmd_extract_surjection(args) -> int:
+    from . import analysis
+
     digraph = _load_digraph_arg(args)
     try:
         witness = analysis.extract_surjection(digraph, args.u, args.v)
@@ -194,11 +210,17 @@ def cmd_extract_surjection(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    sys.stdout.write(dump_digraph(analysis.omega_prefix(args.levels)))
+    from .analysis import omega_prefix
+    from .digraphs import dump_digraph
+
+    sys.stdout.write(dump_digraph(omega_prefix(args.levels)))
     return 0
 
 
 def cmd_census(args) -> int:
+    from .census import census, digraph_from_counter, format_row
+    from .digraphs import dump_digraph
+
     row = census(args.n, jobs=args.jobs, witnesses=args.list_witnesses)
     print(format_row(row))
     for counter in row.non_cantor:
@@ -294,10 +316,28 @@ def _run(argv) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
-            analysis.AnalysisError, SizeGuardExceeded) as exc:
+    except ValueError as exc:
+        if not _is_invalid_input(exc):
+            raise
         print(f"invalid: {exc}", file=sys.stderr)
         return FALSE_VERDICT
+
+
+def _is_invalid_input(exc: ValueError) -> bool:
+    """Whether exc is a layer's invalid-input error, which exits 1 and not with a traceback.
+
+    The layers are imported here, on the error path, and not at the top,
+    so that a verb loads only the layers it uses.
+    """
+    from .analysis import AnalysisError
+    from .digraphs import DigraphError, SizeGuardExceeded
+    from .formulas import ParseError
+    from .schemes import SchemeError
+    from .semantics import SemanticsError
+    from .substitution import SubstitutionError
+
+    return isinstance(exc, (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
+                            AnalysisError, SizeGuardExceeded))
 
 
 def entry() -> None:

@@ -14,9 +14,10 @@ nor sorts the pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+from .records import Record
 
 
 # Most vertices of a digraph: checks allocate per-vertex tables.
@@ -50,18 +51,18 @@ def _check_size(n: int) -> None:
         raise SizeGuardExceeded(f"{n} vertices exceed {MAX_VERTICES}")
 
 
-@dataclass(frozen=True, init=False)
-class Digraph:
+class Digraph(Record):
     """An immutable digraph on 1..n, held as its in-neighborhood masks.
 
     ``Digraph(n, arrows)`` takes (u, v) pairs; ``Digraph.from_masks``
     takes the masks themselves, vertex 1 first.  ``arrows`` and
-    ``analysis`` are built on first use and kept; threads racing on a
-    first read can only build two equal copies, and one is kept.
+    ``analysis`` are built on first use and kept in ``__dict__``; threads
+    racing on a first read can only build two equal copies, and one is
+    kept.
     """
 
-    n: int
-    masks: tuple[int, ...]
+    __slots__ = ("n", "masks", "__dict__", "__weakref__")
+    _fields = ("n", "masks")
 
     def __init__(self, n: int, arrows: Iterable[tuple[int, int]]):
         _check_size(n)
@@ -70,8 +71,8 @@ class Digraph:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexOutOfRange(f"arrow ({u}, {v}) leaves the vertex range [1, {n}]")
             masks[v - 1] |= 1 << (u - 1)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", tuple(masks))
+        _n(self, n)
+        _masks(self, tuple(masks))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> Digraph:
@@ -88,9 +89,12 @@ class Digraph:
     def _unchecked(cls, masks: tuple[int, ...]) -> Digraph:
         """A digraph over masks the caller has already checked."""
         digraph = object.__new__(cls)
-        object.__setattr__(digraph, "n", len(masks))
-        object.__setattr__(digraph, "masks", masks)
+        _n(digraph, len(masks))
+        _masks(digraph, masks)
         return digraph
+
+    def __reduce__(self):
+        return self.from_masks, (self.masks,)
 
     @cached_property
     def arrows(self) -> frozenset[tuple[int, int]]:
@@ -115,6 +119,9 @@ class Digraph:
         """The set of elements of u, that is {v : v -> u}."""
         self.check_vertex(u)
         return mask_vertices(self.masks[u - 1])
+
+
+_n, _masks = Digraph.n.__set__, Digraph.masks.__set__
 
 
 def mask_vertices(mask: int) -> frozenset[int]:
@@ -208,7 +215,10 @@ def dump_digraph(digraph: Digraph) -> str:
     )
 
 
-# Last, because analysis imports this module.  An import inside the
-# property would cost 1.7 µs per digraph (Python 3.11, one Xeon core),
-# a third of the whole analysis of a digraph on three to five vertices.
+# The kernel behind Digraph.analysis, imported last because analysis
+# imports this module.  It loads nothing of the sentence side (formulas,
+# schemes, the Cantor sentence, evaluation), so a reader of digraphs pays
+# for the kernel alone.  An import inside the property would cost 1.7 µs
+# per digraph (Python 3.11, one Xeon core), a third of the whole analysis
+# of a digraph on three to five vertices.
 from . import analysis as _analysis  # noqa: E402

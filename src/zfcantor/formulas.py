@@ -21,9 +21,9 @@ the substitution operations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping
 
+from .records import Record
 from .symbols import (
     BICONDITIONAL,
     CONJUNCTION,
@@ -147,10 +147,12 @@ def count(word: Word, symbol: Symbol) -> int:
 # ---------------------------------------------------------------------------
 # Parse trees: ten node classes in five shapes.  A shape fixes the fields
 # and the immediate subformulas; a class adds its case label and symbol.
+# Nodes are records (see records.py).  Parse and expand build them in
+# bulk, so the constructors store through the slot writers defined after
+# the classes.
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     """Base node; span is the 1-based inclusive interval in the source word.
 
     ``label`` names the grammar case of the node, ``symbol`` is the fixed
@@ -158,7 +160,7 @@ class Formula:
     are its immediate subformulas.
     """
 
-    span: tuple[int, int]
+    __slots__ = ("span",)
     label: ClassVar[str]
     symbol: ClassVar[Symbol]
     children: ClassVar[tuple[Formula, ...]] = ()
@@ -167,46 +169,64 @@ class Formula:
         return self.span[1] - self.span[0] + 1
 
 
-@dataclass(frozen=True)
 class RelationAtom(Formula):
     """``( left SYMBOL right )`` over two variables."""
 
+    __slots__ = ("left", "right")
+    _fields = ("span", "left", "right")
     label = "atomic"
-    left: Symbol
-    right: Symbol
+
+    def __init__(self, span: tuple[int, int], left: Symbol, right: Symbol):
+        _span(self, span)
+        _atom_left(self, left)
+        _atom_right(self, right)
 
 
 class Membership(RelationAtom):
+    __slots__ = ()
     symbol = MEMBERSHIP
 
 
 class Equality(RelationAtom):
+    __slots__ = ()
     symbol = EQUALITY
 
 
-@dataclass(frozen=True)
 class PredicateAtom(Formula):
+    __slots__ = ("name", "args")
+    _fields = ("span", "name", "args")
     label = "atomic"
-    name: str
-    args: tuple[Symbol, ...]
+
+    def __init__(self, span: tuple[int, int], name: str, args: tuple[Symbol, ...]):
+        _span(self, span)
+        _atom_name(self, name)
+        _atom_args(self, args)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = ("child",)
+    _fields = ("span", "child")
     label, symbol = "negation", NEGATION
-    child: Formula
+
+    def __init__(self, span: tuple[int, int], child: Formula):
+        _span(self, span)
+        _not_child(self, child)
 
     @property
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
 
 
-@dataclass(frozen=True)
 class Connective(Formula):
     """``( left SYMBOL right )`` over two formulas."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    _fields = ("span", "left", "right")
+
+    def __init__(self, span: tuple[int, int], left: Formula, right: Formula):
+        _span(self, span)
+        _connective_left(self, left)
+        _connective_right(self, right)
 
     @property
     def children(self) -> tuple[Formula, ...]:
@@ -214,27 +234,35 @@ class Connective(Formula):
 
 
 class Implies(Connective):
+    __slots__ = ()
     label, symbol = "implication", IMPLICATION
 
 
 class Iff(Connective):
+    __slots__ = ()
     label, symbol = "biconditional", BICONDITIONAL
 
 
 class And(Connective):
+    __slots__ = ()
     label, symbol = "conjunction", CONJUNCTION
 
 
 class Or(Connective):
+    __slots__ = ()
     label, symbol = "disjunction", DISJUNCTION
 
 
-@dataclass(frozen=True)
 class Quantifier(Formula):
     """``( SYMBOL var child )``, binding the set variable var."""
 
-    var: Symbol
-    child: Formula
+    __slots__ = ("var", "child")
+    _fields = ("span", "var", "child")
+
+    def __init__(self, span: tuple[int, int], var: Symbol, child: Formula):
+        _span(self, span)
+        _quantifier_var(self, var)
+        _quantifier_child(self, child)
 
     @property
     def children(self) -> tuple[Formula, ...]:
@@ -242,12 +270,21 @@ class Quantifier(Formula):
 
 
 class Exists(Quantifier):
+    __slots__ = ()
     label, symbol = "existential", EXISTS
 
 
 class Forall(Quantifier):
+    __slots__ = ()
     label, symbol = "universal", FORALL
 
+
+_span = Formula.span.__set__
+_atom_left, _atom_right = RelationAtom.left.__set__, RelationAtom.right.__set__
+_atom_name, _atom_args = PredicateAtom.name.__set__, PredicateAtom.args.__set__
+_not_child = Not.child.__set__
+_connective_left, _connective_right = Connective.left.__set__, Connective.right.__set__
+_quantifier_var, _quantifier_child = Quantifier.var.__set__, Quantifier.child.__set__
 
 _RELATIONS = {cls.symbol.kind: cls for cls in (Membership, Equality)}
 _CONNECTIVES = {cls.symbol.kind: cls for cls in (Implies, Iff, And, Or)}
@@ -449,13 +486,19 @@ def predicate_atoms(tree: Formula) -> Iterator[PredicateAtom]:
 # Occurrences
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Record):
     """A variable occurrence: which symbol, where, and whether it is bound."""
 
-    variable: Symbol
-    position: int
-    bound: bool
+    __slots__ = _fields = ("variable", "position", "bound")
+
+    def __init__(self, variable: Symbol, position: int, bound: bool):
+        _variable(self, variable)
+        _position(self, position)
+        _bound(self, bound)
+
+
+_variable, _position = Occurrence.variable.__set__, Occurrence.position.__set__
+_bound = Occurrence.bound.__set__
 
 
 def _variable_sites(tree: Formula) -> list[tuple[Symbol, int, bool]]:

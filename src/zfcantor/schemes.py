@@ -17,8 +17,6 @@ rendered or parsed again, and each tree equals the parse of its word.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .digraphs import SizeGuardExceeded
 from .formulas import (
     MAX_DEPTH,
@@ -35,7 +33,8 @@ from .formulas import (
     subformulas,
     tokenize,
 )
-from .symbols import PredicateSignature, Symbol, SymbolKind, new_var
+from .records import Record
+from .symbols import PredicateSignature, Symbol, SymbolKind, new_var, predicate
 
 INDEXED_PARAMS = tuple(new_var(f"y{i}") for i in range(1, 10))
 LETTER_PARAMS = (new_var("x"), new_var("y"), new_var("z"))
@@ -77,24 +76,24 @@ class SubstitutabilityViolation(SchemeError):
     """An expansion or an instantiation would capture a variable."""
 
 
-@dataclass(frozen=True)
-class Shortcut:
+class Shortcut(Record):
     """A predicate definition: name, formal parameters, and a body formula."""
 
-    name: str
-    params: tuple[Symbol, ...]
-    body: Formula
+    __slots__ = _fields = ("name", "params", "body")
 
-    def __post_init__(self):
-        PredicateSignature(self.name, len(self.params))
+    def __init__(self, name: str, params: tuple[Symbol, ...], body: Formula):
+        PredicateSignature(name, len(params))
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "params", params)
+        init(self, "body", body)
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Record):
     """A validated scheme with its reference and variable-index metadata.
 
     ``r_sets[i]`` holds the 1-based indices of the predicates referenced
@@ -102,10 +101,20 @@ class Scheme:
     variables appearing in its body.
     """
 
-    shortcuts: tuple[Shortcut, ...]
-    r_sets: tuple[frozenset[int], ...]
-    v_sets: tuple[frozenset[int], ...]
-    mode: str = "strict"
+    __slots__ = _fields = ("shortcuts", "r_sets", "v_sets", "mode")
+
+    def __init__(
+        self,
+        shortcuts: tuple[Shortcut, ...],
+        r_sets: tuple[frozenset[int], ...],
+        v_sets: tuple[frozenset[int], ...],
+        mode: str = "strict",
+    ):
+        init = object.__setattr__
+        init(self, "shortcuts", shortcuts)
+        init(self, "r_sets", r_sets)
+        init(self, "v_sets", v_sets)
+        init(self, "mode", mode)
 
 
 def _check_params(sc: Shortcut) -> None:
@@ -239,7 +248,7 @@ def expand(scheme: Scheme) -> list[Formula]:
     return trees
 
 
-def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts) -> tuple[Formula, int]:
+def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts, seen=None) -> tuple[Formula, int]:
     """A copy of node whose word starts at pos, and the copy's last position.
 
     Variables are renamed by ``rename``.  ``inserts`` maps the start of
@@ -248,28 +257,47 @@ def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts) -> tup
     an inserted expansion or an instantiated one, which hold no atoms.
     The recursion takes one level per compound formula and stops past
     MAX_DEPTH with the error parse gives at the same position.
+
+    ``seen`` is given by instantiate, which checks it after the walk.
+    Its keys, in walk order, are the new variables of atoms that
+    ``rename`` misses, the quantified variables, and the symbol of each
+    predicate atom; such an atom is left uncopied.
     """
     if depth > MAX_DEPTH:
         raise NestingTooDeep(pos, f"formulas nest deeper than {MAX_DEPTH} levels")
     if isinstance(node, RelationAtom):
         left, right = node.left, node.right
+        if seen is not None:
+            _see_uncovered(seen, rename, (left, right))
         return node.__class__((pos, pos + 4), rename.get(left, left), rename.get(right, right)), pos + 4
     if isinstance(node, Connective):
-        left, end = _relocate(node.left, pos + 1, depth + 1, rename, inserts)
-        right, end = _relocate(node.right, end + 2, depth + 1, rename, inserts)
+        left, end = _relocate(node.left, pos + 1, depth + 1, rename, inserts, seen)
+        right, end = _relocate(node.right, end + 2, depth + 1, rename, inserts, seen)
         return node.__class__((pos, end + 1), left, right), end + 1
     if isinstance(node, Quantifier):
-        child, end = _relocate(node.child, pos + 3, depth + 1, rename, inserts)
+        if seen is not None:
+            seen[node.var] = None
+        child, end = _relocate(node.child, pos + 3, depth + 1, rename, inserts, seen)
         return node.__class__((pos, end + 1), node.var, child), end + 1
     if isinstance(node, Not):
-        child, end = _relocate(node.child, pos + 1, depth + 1, rename, inserts)
+        child, end = _relocate(node.child, pos + 1, depth + 1, rename, inserts, seen)
         return Not((pos, end), child), end
     if isinstance(node, PredicateAtom):
+        if seen is not None:
+            _see_uncovered(seen, rename, node.args)
+            seen[predicate(node.name)] = None
+            return node, pos + len(node) - 1
         if inserts is None:
             raise SubstitutabilityViolation(f"an expansion still contains the predicate {node.name}")
         tree, renaming = inserts[node.span[0]]
         return _relocate(tree, pos, depth, renaming, None)
     raise TypeError(f"not a formula node: {node!r}")
+
+
+def _see_uncovered(seen: dict, rename: dict, variables) -> None:
+    for var in variables:
+        if var.kind is SymbolKind.NEW_VAR and var not in rename:
+            seen[var] = None
 
 
 def _check_substitutable(name, inserted_binders: frozenset[int], host_binders, args) -> None:
@@ -291,8 +319,10 @@ def instantiate(expansion: Formula, assignment) -> Formula:
     ``assignment`` maps new variables to variable symbols and must cover
     every free new variable.  A set variable the expansion quantifies
     is refused as a target, since it would capture the renamed
-    occurrences.  The tree is copied once with its variables renamed;
-    length and spans are preserved, and nothing is parsed again.
+    occurrences.  The tree is walked once: the walk copies it with its
+    variables renamed and notes what the checks read, which run after
+    it, uncovered variables first.  Length and spans are preserved, and
+    nothing is parsed again.
     """
     return _instantiate(expansion, assignment, 1)
 
@@ -305,18 +335,20 @@ def _instantiate(expansion: Formula, assignment, start: int) -> Formula:
             raise SchemeError(f"instantiation source {source!r} is not a new variable")
         if not target.is_variable:
             raise SchemeError(f"instantiation target {target!r} is not a variable")
-    sites = _variable_sites(expansion)
-    missing = {v for v, _, _ in sites if v.kind is SymbolKind.NEW_VAR} - set(table)
+    seen: dict[Symbol, None] = {}
+    tree = _relocate(expansion, start, 0, table, None, seen)[0]
+    missing = [var.token for var in seen if var.kind is SymbolKind.NEW_VAR]
     if missing:
-        names = ", ".join(sorted(v.token for v in missing))
-        raise UncoveredParameter(f"assignment does not cover {names}")
-    quantified = {v for v, _, bound in sites if bound}
+        raise UncoveredParameter(f"assignment does not cover {', '.join(sorted(missing))}")
     for target in table.values():
-        if target in quantified:
+        if target in seen:  # seen now holds quantified variables and predicates only
             raise SubstitutabilityViolation(
                 f"instantiation target {target.token} would be captured inside the expansion"
             )
-    return _relocate(expansion, start, 0, table, None)[0]
+    atoms = [sym.name for sym in seen if sym.kind is SymbolKind.PREDICATE]
+    if atoms:
+        raise SubstitutabilityViolation(f"an expansion still contains the predicate {atoms[0]}")
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from weakref import WeakValueDictionary
+
+from .records import Record, frozen_error
 
 
 class SymbolKind(Enum):
@@ -109,10 +110,10 @@ class Symbol:
             return _INTERNED.setdefault(key, sym)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise frozen_error(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise frozen_error(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Symbol, (self.kind, self.index, self.name)
@@ -162,14 +163,15 @@ FIXED_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class PredicateSignature:
+class PredicateSignature(Record):
     """A predicate name together with its arity (at least 1)."""
 
-    name: str
-    arity: int
+    __slots__ = _fields = ("name", "arity")
 
-    def __post_init__(self):
-        predicate(self.name)  # validates the name
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
+    def __init__(self, name: str, arity: int):
+        predicate(name)  # validates the name
+        if arity < 1:
+            raise ValueError(f"arity must be >= 1, got {arity}")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "arity", arity)

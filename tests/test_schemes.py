@@ -341,6 +341,40 @@ class TestInstantiate:
         with pytest.raises(SchemeError, match=f"^{re.escape(f'instantiation source {source!r}')} is not a new variable$"):
             instantiate(e1, {X: set_var(18), Y: set_var(19), source: set_var(3)})
 
+    # a predicate-free tree cannot show the order of the checks, so these use
+    # trees with predicate atoms: parse admits them, and instantiate refuses them last
+    SIGS = {"SUS": 2, "SI": 2}
+
+    @pytest.mark.parametrize(
+        "text, assignment, error, message",
+        [
+            # an uncovered parameter first, wherever it stands, all of them named
+            ("( SUS ( ?x ; ?y ) & ( E x1 ( x1 in ?z ) ) )", {X: set_var(1)},
+             UncoveredParameter, "assignment does not cover ?y, ?z"),
+            ("( ( ?z in ?x ) & SI ( ?y ; ?x ) )", {X: set_var(1)},
+             UncoveredParameter, "assignment does not cover ?y, ?z"),
+            # then a captured target, the first one in the assignment's order
+            ("( SUS ( ?x ; ?y ) & ( E x1 ( A x2 ( x1 in x2 ) ) ) )",
+             {X: set_var(3), Y: set_var(2), Z: set_var(1)},
+             SubstitutabilityViolation, "instantiation target x2 would be captured inside the expansion"),
+            # then the first predicate atom
+            ("( SUS ( ?x ; ?y ) & SI ( ?x ; ?y ) )", {X: set_var(1), Y: set_var(2)},
+             SubstitutabilityViolation, "an expansion still contains the predicate SUS"),
+            ("( ( x1 in ?x ) | ( SI ( ?x ; ?y ) & SUS ( ?x ; ?y ) ) )", {X: set_var(1), Y: set_var(2)},
+             SubstitutabilityViolation, "an expansion still contains the predicate SI"),
+        ],
+    )
+    def test_checks_run_in_order(self, text, assignment, error, message):
+        with pytest.raises(SchemeError) as err:
+            instantiate(parse_text(text, self.SIGS), assignment)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_a_free_set_variable_target_is_not_captured(self):
+        tree = parse_text("( ( x6 in ?x ) & ( E x1 ( x1 in ?y ) ) )")
+        out = instantiate(tree, {X: set_var(6), Y: set_var(2)})
+        assert render_text(render(out)) == "( ( x6 in x6 ) & ( E x1 ( x1 in x2 ) ) )"
+
     def test_extra_assignments_are_harmless(self):
         e1 = emit_expansions()[0].formula
         out = instantiate(e1, {X: set_var(18), Y: set_var(19), Z: set_var(20)})
