@@ -26,24 +26,22 @@ of level [lo, hi] has the in-mask v - lo.
 
 The module imports only ``digraphs`` and ``records``, and ``digraphs``
 imports it back for ``Digraph.analysis``.  The sentence side (the
-Cantor sentence, the formula tree and its evaluator) is imported inside
-the two calls that need it, ``is_cantor(d, method="phi")`` and
-``DigraphAnalysis.predicate``, so the census and the semantic verdict
-never load it.
+Cantor sentence, the formula tree and its evaluator) is imported by
+the two calls that need it, ``is_cantor(d, method="phi")``, which binds
+it once on its first call, and ``DigraphAnalysis.predicate``, so the
+census and the semantic verdict never load it.
 """
 from __future__ import annotations
 
-from weakref import WeakValueDictionary
-
 from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
-from .records import Record
+from .records import InvalidInput, Record
 
 # Most levels of the strongly extensive construction: level 4 ends at
 # vertex 2059, and level 5 would add 2^2059 vertices.
 OMEGA_MAX_LEVELS = 4
 
 
-class AnalysisError(ValueError):
+class AnalysisError(InvalidInput):
     pass
 
 
@@ -341,6 +339,10 @@ def extract_surjection(digraph: Digraph, u: int, v: int) -> SurjectionWitness:
     return digraph.analysis.extract_surjection(u, v)
 
 
+# (emit_phi, evaluate_sentence), imported by the first sentence verdict
+_sentence_side = None
+
+
 def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     """No vertex surjects onto any vertex's power set.
 
@@ -353,9 +355,13 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     if method == "semantic":
         return digraph.analysis.is_cantor()
     if method == "phi":
-        from .cantor import emit_phi
-        from .semantics import evaluate_sentence
+        global _sentence_side
+        if _sentence_side is None:
+            from .cantor import emit_phi
+            from .semantics import evaluate_sentence
 
+            _sentence_side = emit_phi, evaluate_sentence
+        emit_phi, evaluate_sentence = _sentence_side
         return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 
@@ -396,9 +402,6 @@ def omega_level_ranges(levels: int) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-_omega_prefixes: WeakValueDictionary[int, Digraph] = WeakValueDictionary()
-
-
 def omega_prefix(levels: int) -> Digraph:
     """A finite prefix of the countable strongly extensive construction.
 
@@ -408,17 +411,8 @@ def omega_prefix(levels: int) -> Digraph:
     vertices of level [lo, hi] are 1..lo-1, and vertex v gets the in-mask
     v - lo: the subsets come in binary-counter order, the empty set
     first, then {1}, and so on.
-
-    A prefix is built once while any caller holds it, and that digraph
-    is shared: it is immutable.  The cache holds it weakly, so a 2059-vertex
-    prefix nobody uses costs no memory.
     """
-    cached = _omega_prefixes.get(levels)
-    if cached is not None:
-        return cached
     masks = [0]
     for lo, hi in omega_level_ranges(levels)[1:]:
         masks.extend(range(hi - lo + 1))
-    prefix = Digraph.from_masks(masks)
-    _omega_prefixes[levels] = prefix
-    return prefix
+    return Digraph.from_masks(masks)

@@ -15,6 +15,8 @@ import sys
 
 from typing import TYPE_CHECKING
 
+from .records import InvalidInput
+
 if TYPE_CHECKING:
     from .digraphs import Digraph
     from .symbols import Symbol
@@ -316,28 +318,9 @@ def _run(argv) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        if not _is_invalid_input(exc):
-            raise
+    except InvalidInput as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return FALSE_VERDICT
-
-
-def _is_invalid_input(exc: ValueError) -> bool:
-    """Whether exc is a layer's invalid-input error, which exits 1 and not with a traceback.
-
-    The layers are imported here, on the error path, and not at the top,
-    so that a verb loads only the layers it uses.
-    """
-    from .analysis import AnalysisError
-    from .digraphs import DigraphError, SizeGuardExceeded
-    from .formulas import ParseError
-    from .schemes import SchemeError
-    from .semantics import SemanticsError
-    from .substitution import SubstitutionError
-
-    return isinstance(exc, (ParseError, SchemeError, SemanticsError, SubstitutionError, DigraphError,
-                            AnalysisError, SizeGuardExceeded))
 
 
 def entry() -> None:

@@ -17,14 +17,14 @@ import warnings
 from functools import cached_property
 from typing import Iterable
 
-from .records import Record
+from .records import InvalidInput, Record
 
 
 # Most vertices of a digraph: checks allocate per-vertex tables.
 MAX_VERTICES = 2**22
 
 
-class DigraphError(ValueError):
+class DigraphError(InvalidInput):
     pass
 
 
@@ -36,7 +36,7 @@ class VertexOutOfRange(DigraphError):
     pass
 
 
-class SizeGuardExceeded(ValueError):
+class SizeGuardExceeded(InvalidInput):
     """An input is too large for the requested computation; raised before the work starts."""
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import ClassVar, Iterable, Iterator, Mapping
 
-from .records import Record
+from .records import InvalidInput, Record
 from .symbols import (
     BICONDITIONAL,
     CONJUNCTION,
@@ -50,10 +50,8 @@ from .symbols import (
 
 Word = tuple[Symbol, ...]
 
-EMPTY_WORD: Word = ()
 
-
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """Base class for tokenizer and parser errors; carries a 1-based position."""
 
     def __init__(self, position: int, message: str):
@@ -290,9 +288,6 @@ _RELATIONS = {cls.symbol.kind: cls for cls in (Membership, Equality)}
 _CONNECTIVES = {cls.symbol.kind: cls for cls in (Implies, Iff, And, Or)}
 _QUANTIFIERS = {cls.symbol.kind: cls for cls in (Exists, Forall)}
 _LPAREN, _NEGATION, _SET_VAR = SymbolKind.LPAREN, SymbolKind.NEGATION, SymbolKind.SET_VAR
-
-NODE_CLASSES = (Membership, Equality, PredicateAtom, Not, Implies, Iff, And, Or, Exists, Forall)
-CASE_LABELS = tuple(dict.fromkeys(cls.label for cls in NODE_CLASSES))
 
 # Most compound formulas around an atom that parse accepts (the Cantor
 # sentence has 21).  The front end needs no recursion; evaluate and the

@@ -10,10 +10,17 @@ same class with equal fields, hashed and spelled alike, and assigning or
 deleting a field raises ``dataclasses.FrozenInstanceError``.  The
 ``dataclasses`` module costs 10 ms to import, so it is imported on that
 error path only.
+
+Every layer imports this module, so it also holds ``InvalidInput``, the
+one root of the errors that refuse an input.
 """
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+class InvalidInput(ValueError):
+    """An input is refused: a malformed formula, scheme, word or digraph, or one past a guard."""
 
 
 def frozen_error(message: str) -> AttributeError:

@@ -5,7 +5,8 @@ variable occurs free and whose new variables all come from the formal
 parameter list.  A scheme is an ordered list of shortcuts; it is well
 formed when every body only refers to earlier predicates and the sets
 of set-variable indices used by the bodies are strictly increasing
-(strict mode) or at least pairwise disjoint (relaxed mode).
+(strict mode) or at least pairwise disjoint (relaxed mode).  Building a
+``Scheme`` checks all of this, so every ``Scheme`` is well formed.
 
 Forward expansion rewrites each body into a predicate-free formula by
 splicing in the already-expanded bodies of the referenced predicates,
@@ -14,6 +15,9 @@ works on trees: each body is copied once, every predicate atom becomes
 a copy of the referenced expansion tree with its variables renamed, and
 every span is moved to its place in the new word.  So no expansion is
 rendered or parsed again, and each tree equals the parse of its word.
+The bodies of a well-formed scheme quantify pairwise disjoint sets of
+variables, so no splice can capture one; capture concerns only
+``instantiate``, whose targets the caller chooses.
 """
 from __future__ import annotations
 
@@ -30,10 +34,9 @@ from .formulas import (
     _variable_sites,
     parse,
     predicate_atoms,
-    subformulas,
     tokenize,
 )
-from .records import Record
+from .records import InvalidInput, Record
 from .symbols import PredicateSignature, Symbol, SymbolKind, new_var, predicate
 
 INDEXED_PARAMS = tuple(new_var(f"y{i}") for i in range(1, 10))
@@ -44,7 +47,7 @@ LETTER_PARAMS = (new_var("x"), new_var("y"), new_var("z"))
 MAX_EXPANSION_SYMBOLS = 2**16
 
 
-class SchemeError(ValueError):
+class SchemeError(InvalidInput):
     pass
 
 
@@ -73,7 +76,7 @@ class UncoveredParameter(SchemeError):
 
 
 class SubstitutabilityViolation(SchemeError):
-    """An expansion or an instantiation would capture a variable."""
+    """An instantiation would capture a target, or its input still holds a predicate atom."""
 
 
 class Shortcut(Record):
@@ -94,27 +97,82 @@ class Shortcut(Record):
 
 
 class Scheme(Record):
-    """A validated scheme with its reference and variable-index metadata.
+    """A well-formed scheme with its reference and variable-index metadata.
 
-    ``r_sets[i]`` holds the 1-based indices of the predicates referenced
-    by shortcut i+1; ``v_sets[i]`` holds the indices of the set
-    variables appearing in its body.
+    Building one is validating it: ``Scheme(shortcuts, mode)`` checks the
+    invariants of each shortcut, then the ordering of the variable-index
+    sets, and raises a SchemeError at the first violation.  The metadata
+    is derived from the shortcuts: ``r_sets[i]`` holds the 1-based
+    indices of the predicates referenced by shortcut i+1, and
+    ``v_sets[i]`` holds the indices of the set variables appearing in
+    its body.
     """
 
     __slots__ = _fields = ("shortcuts", "r_sets", "v_sets", "mode")
 
-    def __init__(
-        self,
-        shortcuts: tuple[Shortcut, ...],
-        r_sets: tuple[frozenset[int], ...],
-        v_sets: tuple[frozenset[int], ...],
-        mode: str = "strict",
-    ):
+    def __init__(self, shortcuts, mode: str = "strict"):
+        if mode not in ("strict", "relaxed"):
+            raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
+        shortcuts = tuple(shortcuts)
+        names = [sc.name for sc in shortcuts]
+        if len(set(names)) != len(names):
+            raise SchemeError("shortcut names must be distinct")
+        index = {name: i for i, name in enumerate(names)}
+
+        r_sets: list[frozenset[int]] = []
+        v_sets: list[frozenset[int]] = []
+        for i, sc in enumerate(shortcuts, start=1):
+            _check_params(sc)
+            # in position order, so each error names the leftmost offender
+            sites = _variable_sites(sc.body)
+            free = [var for var, _, bound in sites if not bound and var.kind is SymbolKind.SET_VAR]
+            if free:
+                raise FreeSetVariable(f"{sc.name}: set variable {free[0].token} occurs free in the body")
+            params = set(sc.params)
+            foreign = [var for var, _, _ in sites if var.kind is SymbolKind.NEW_VAR and var not in params]
+            if foreign:
+                raise ForeignNewVariable(f"{sc.name}: new variable {foreign[0].token} is not a parameter")
+            refs = set()
+            for atom in predicate_atoms(sc.body):
+                k = index.get(atom.name)
+                if k is None:
+                    raise SchemeError(f"{sc.name}: unknown predicate {atom.name} in the body")
+                if len(atom.args) != shortcuts[k].arity:
+                    raise SchemeError(
+                        f"{sc.name}: {atom.name} has arity {shortcuts[k].arity},"
+                        f" applied to {len(atom.args)} arguments"
+                    )
+                refs.add(k + 1)
+            bad = [k for k in refs if k >= i]
+            if bad:
+                raise CircularReference(
+                    f"{sc.name} (position {i}) refers to {shortcuts[bad[0] - 1].name}"
+                    f" (position {bad[0]}); only earlier predicates are allowed"
+                )
+            r_sets.append(frozenset(refs))
+            v_sets.append(frozenset(var.index for var, _, _ in sites if var.kind is SymbolKind.SET_VAR))
+
+        for i in range(len(shortcuts)):
+            for j in range(i + 1, len(shortcuts)):
+                if mode == "strict":
+                    ok = _precedes(v_sets[i], v_sets[j])
+                else:
+                    ok = not (v_sets[i] & v_sets[j])
+                if not ok:
+                    raise VariableClash(
+                        f"set-variable index sets of {names[i]} and {names[j]} violate"
+                        f" the {mode} ordering: {sorted(v_sets[i])} vs {sorted(v_sets[j])}"
+                    )
+
         init = object.__setattr__
         init(self, "shortcuts", shortcuts)
-        init(self, "r_sets", r_sets)
-        init(self, "v_sets", v_sets)
+        init(self, "r_sets", tuple(r_sets))
+        init(self, "v_sets", tuple(v_sets))
         init(self, "mode", mode)
+
+    def __reduce__(self):
+        # from the shortcuts alone, so that unpickling validates again
+        return self.__class__, (self.shortcuts, self.mode)
 
 
 def _check_params(sc: Shortcut) -> None:
@@ -132,77 +190,13 @@ def _check_params(sc: Shortcut) -> None:
     )
 
 
-def _applied(sc: Shortcut, atom: PredicateAtom, index: dict[str, int], shortcuts) -> int:
-    """The 0-based position of the shortcut that an atom of sc's body applies."""
-    k = index.get(atom.name)
-    if k is None:
-        raise SchemeError(f"{sc.name}: unknown predicate {atom.name} in the body")
-    if len(atom.args) != shortcuts[k].arity:
-        raise SchemeError(
-            f"{sc.name}: {atom.name} has arity {shortcuts[k].arity},"
-            f" applied to {len(atom.args)} arguments"
-        )
-    return k
-
-
 def _precedes(a: frozenset[int], b: frozenset[int]) -> bool:
     # A < B: every element of A below every element of B; holds vacuously.
     return not a or not b or max(a) < min(b)
 
 
-def validate_scheme(shortcuts, mode: str = "strict") -> Scheme:
-    """Check shortcut invariants and the scheme ordering conditions.
-
-    Computes the reference sets and variable-index sets of every body
-    and verifies acyclicity of the references plus the strict ordering
-    (or relaxed disjointness) of the variable-index sets.
-    """
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    shortcuts = tuple(shortcuts)
-    names = [sc.name for sc in shortcuts]
-    if len(set(names)) != len(names):
-        raise SchemeError("shortcut names must be distinct")
-    index = {name: i for i, name in enumerate(names)}
-
-    r_sets: list[frozenset[int]] = []
-    v_sets: list[frozenset[int]] = []
-    for i, sc in enumerate(shortcuts, start=1):
-        _check_params(sc)
-        # in position order, so each error names the leftmost offender
-        sites = _variable_sites(sc.body)
-        free = [var for var, _, bound in sites if not bound and var.kind is SymbolKind.SET_VAR]
-        if free:
-            raise FreeSetVariable(f"{sc.name}: set variable {free[0].token} occurs free in the body")
-        params = set(sc.params)
-        foreign = [var for var, _, _ in sites if var.kind is SymbolKind.NEW_VAR and var not in params]
-        if foreign:
-            raise ForeignNewVariable(f"{sc.name}: new variable {foreign[0].token} is not a parameter")
-        refs = set()
-        for atom in predicate_atoms(sc.body):
-            refs.add(_applied(sc, atom, index, shortcuts) + 1)
-        bad = [k for k in refs if k >= i]
-        if bad:
-            raise CircularReference(
-                f"{sc.name} (position {i}) refers to {shortcuts[bad[0] - 1].name}"
-                f" (position {bad[0]}); only earlier predicates are allowed"
-            )
-        r_sets.append(frozenset(refs))
-        v_sets.append(frozenset(var.index for var, _, _ in sites if var.kind is SymbolKind.SET_VAR))
-
-    for i in range(len(shortcuts)):
-        for j in range(i + 1, len(shortcuts)):
-            if mode == "strict":
-                ok = _precedes(v_sets[i], v_sets[j])
-            else:
-                ok = not (v_sets[i] & v_sets[j])
-            if not ok:
-                raise VariableClash(
-                    f"set-variable index sets of {names[i]} and {names[j]} violate"
-                    f" the {mode} ordering: {sorted(v_sets[i])} vs {sorted(v_sets[j])}"
-                )
-
-    return Scheme(shortcuts, tuple(r_sets), tuple(v_sets), mode)
+# Validating shortcuts is building their Scheme.
+validate_scheme = Scheme
 
 
 def expand(scheme: Scheme) -> list[Formula]:
@@ -212,39 +206,29 @@ def expand(scheme: Scheme) -> list[Formula]:
     with every predicate atom replaced by the tree of the referenced
     expansion, its parameters renamed to the atom's arguments, and every
     span moved to its place in the new word; nothing is rendered or parsed
-    again.  The length of each expansion is known from the spans before
-    it is built, and SizeGuardExceeded is raised once the expansions
-    together pass MAX_EXPANSION_SYMBOLS.  An expansion nesting deeper than
+    again.  The scheme is well formed, so each atom applies an earlier
+    shortcut to as many arguments as it has parameters, and nothing is
+    checked again: the inserted tree quantifies only variables of earlier
+    bodies, which neither the host body nor the atom's arguments use.
+    The length of each expansion is known from the spans before it is
+    built, and SizeGuardExceeded is raised once the expansions together
+    pass MAX_EXPANSION_SYMBOLS.  An expansion nesting deeper than
     MAX_DEPTH raises NestingTooDeep, as parse would on its word.
     """
-    index = {sc.name: i for i, sc in enumerate(scheme.shortcuts)}
+    shortcuts = scheme.shortcuts
+    index = {sc.name: i for i, sc in enumerate(shortcuts)}
     trees: list[Formula] = []
-    binders: list[frozenset[int]] = []
     total = 0
-    for sc in scheme.shortcuts:
-        atoms: list[tuple[PredicateAtom, int]] = []
-        quantified = set()
-        for node in subformulas(sc.body):
-            if isinstance(node, Quantifier):
-                quantified.add(node.var.index)
-            elif isinstance(node, PredicateAtom):
-                atoms.append((node, _applied(sc, node, index, scheme.shortcuts)))
+    for sc in shortcuts:
+        atoms = [(atom, index[atom.name]) for atom in predicate_atoms(sc.body)]
         total += len(sc.body) + sum(len(trees[k]) - len(atom) for atom, k in atoms)
         if total > MAX_EXPANSION_SYMBOLS:
             raise SizeGuardExceeded(
                 f"{sc.name}: the expansions reach {total} symbols, over the guard"
                 f" {MAX_EXPANSION_SYMBOLS}"
             )
-        host_binders = frozenset(quantified)
-        inserts = {}
-        for atom, k in atoms:
-            # renaming parameters leaves the quantified variables as they are,
-            # so the expansion quantifies what its body and its inserts do
-            _check_substitutable(sc.name, binders[k], host_binders, atom.args)
-            inserts[atom.span[0]] = (trees[k], dict(zip(scheme.shortcuts[k].params, atom.args)))
-            quantified |= binders[k]
+        inserts = {atom.span[0]: (trees[k], dict(zip(shortcuts[k].params, atom.args))) for atom, k in atoms}
         trees.append(_relocate(sc.body, 1, 0, {}, inserts)[0])
-        binders.append(frozenset(quantified))
     return trees
 
 
@@ -287,8 +271,6 @@ def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts, seen=N
             _see_uncovered(seen, rename, node.args)
             seen[predicate(node.name)] = None
             return node, pos + len(node) - 1
-        if inserts is None:
-            raise SubstitutabilityViolation(f"an expansion still contains the predicate {node.name}")
         tree, renaming = inserts[node.span[0]]
         return _relocate(tree, pos, depth, renaming, None)
     raise TypeError(f"not a formula node: {node!r}")
@@ -298,19 +280,6 @@ def _see_uncovered(seen: dict, rename: dict, variables) -> None:
     for var in variables:
         if var.kind is SymbolKind.NEW_VAR and var not in rename:
             seen[var] = None
-
-
-def _check_substitutable(name, inserted_binders: frozenset[int], host_binders, args) -> None:
-    if inserted_binders & host_binders:
-        raise SubstitutabilityViolation(
-            f"{name}: inserted expansion quantifies {sorted(inserted_binders & host_binders)}"
-            " which the host body also quantifies"
-        )
-    for arg in args:
-        if arg.kind is SymbolKind.SET_VAR and arg.index in inserted_binders:
-            raise SubstitutabilityViolation(
-                f"{name}: argument {arg.token} would be captured inside the inserted expansion"
-            )
 
 
 def instantiate(expansion: Formula, assignment) -> Formula:

@@ -47,6 +47,7 @@ from .formulas import (
     Quantifier,
     RelationAtom,
 )
+from .records import InvalidInput
 from .symbols import EXISTS, Symbol
 
 # Most cells of any truth table: the Cantor sentence at 16 vertices needs
@@ -54,7 +55,7 @@ from .symbols import EXISTS, Symbol
 MAX_TABLE_CELLS = 2**20
 
 
-class SemanticsError(ValueError):
+class SemanticsError(InvalidInput):
     pass
 
 

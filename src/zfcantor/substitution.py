@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .records import InvalidInput
+
 GenericWord = tuple
 
 
-class SubstitutionError(ValueError):
+class SubstitutionError(InvalidInput):
     pass
 
 

@@ -434,20 +434,22 @@ def _binder_indices(tree) -> frozenset[int]:
     return frozenset(node.var.index for node in subformulas(tree) if isinstance(node, Quantifier))
 
 
-def naive_expand(scheme) -> list:
-    """Forward expansion by words.
+def naive_expand(shortcuts) -> list:
+    """Forward expansion by words, of shortcuts that need not form a valid scheme.
 
     Each body is rendered and parsed again; every predicate atom's span
     is patched with the referenced expansion's word, its parameters
     renamed by sub1, all at once by sub2; the result is parsed from
-    scratch.  The size guard reads ``schemes.MAX_EXPANSION_SYMBOLS`` at
-    call time, so a test can lower it for both paths at once.
+    scratch.  A splice that would capture a variable raises
+    SubstitutabilityViolation, which no valid scheme can reach.  The
+    size guard reads ``schemes.MAX_EXPANSION_SYMBOLS`` at call time, so
+    a test can lower it for both paths at once.
     """
-    sigs = {sc.name: sc.arity for sc in scheme.shortcuts}
-    names = [sc.name for sc in scheme.shortcuts]
+    sigs = {sc.name: sc.arity for sc in shortcuts}
+    names = [sc.name for sc in shortcuts]
     words, trees, binders = [], [], []
     total = 0
-    for sc in scheme.shortcuts:
+    for sc in shortcuts:
         body_word = render(sc.body)
         body_tree = parse(body_word, sigs)
         atoms = [(atom, names.index(atom.name) + 1) for atom in predicate_atoms(body_tree)]
@@ -460,8 +462,12 @@ def naive_expand(scheme) -> list:
         host_binders = _binder_indices(body_tree)
         patches = []
         for atom, k in atoms:
-            source = scheme.shortcuts[k - 1]
-            schemes._check_substitutable(sc.name, binders[k - 1], host_binders, atom.args)
+            inserted = binders[k - 1]
+            if inserted & host_binders or any(
+                arg.kind is SymbolKind.SET_VAR and arg.index in inserted for arg in atom.args
+            ):
+                raise schemes.SubstitutabilityViolation(f"{sc.name}: {atom.name}'s expansion captures a variable")
+            source = shortcuts[k - 1]
             patches.append((sub1(words[k - 1], dict(zip(source.params, atom.args))), *atom.span))
         word = sub2(body_word, patches) if patches else body_word
         if any(sym.kind is SymbolKind.PREDICATE for sym in set(word)):

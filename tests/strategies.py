@@ -123,8 +123,8 @@ def scheme_lines(draw, max_lines: int = 4, clash: bool = False):
     fresh set variables numbered after every earlier body's.  A body may
     start with a run of negations, so that expansions can nest past
     MAX_DEPTH.  With ``clash``, binders are drawn from x1..x3 instead, so
-    the lines must be built into a Scheme without validation, and an
-    inserted expansion may quantify a variable of its host.
+    two bodies may quantify one variable, and building the lines into a
+    Scheme may raise VariableClash.
     """
     next_index = [draw(st.integers(1, 5))]
     defined: list[tuple[str, int]] = []

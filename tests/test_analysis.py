@@ -350,11 +350,6 @@ class TestOmegaPrefix:
                 subset = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
                 assert subset in realized
 
-    def test_repeat_builds_share_one_digraph(self):
-        held = omega_prefix(4)
-        assert omega_prefix(4) is held
-        assert omega_prefix(3) is not held
-
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             omega_prefix(5)

@@ -272,6 +272,20 @@ class TestErrors:
     def test_census_above_five_is_invalid(self, run):
         assert run("census", "--n", "6") == (1, "", "invalid: n=6 is outside [1, 5]\n")
 
+    def test_clashing_scheme_is_invalid(self, run, tmp_path):
+        path = tmp_path / "clash.scheme"
+        path.write_text("P ( ?x ) := ( A x1 ( x1 in ?x ) )\nQ ( ?x ) := ( E x1 ( x1 in ?x ) )\n")
+        assert run("expand-scheme", "--scheme", str(path)) == (
+            1, "", "invalid: set-variable index sets of P and Q violate the strict ordering: [1] vs [1]\n"
+        )
+
+    def test_a_plain_value_error_is_not_invalid_input(self, capsys, digraph_file):
+        # only the layers' invalid-input errors become `invalid:` lines; a bug stays a traceback
+        with mock.patch("zfcantor.analysis.is_cantor", side_effect=ValueError("a bug")):
+            with pytest.raises(ValueError, match="^a bug$"):
+                main(["is-cantor", "--digraph", digraph_file(LOOPS2)])
+        assert "invalid:" not in capsys.readouterr().err
+
 
 LIST_WITNESSES_N2 = """\
 # digraph 7

@@ -57,6 +57,17 @@ def test_a_semantic_verdict_loads_no_formula_side(tmp_path):
                 "zfcantor.semantics"} & set(loaded)
 
 
+def test_an_invalid_digraph_loads_no_formula_side(tmp_path):
+    path = tmp_path / "bad.dg"
+    path.write_text("vertices 2\n3 1\n")
+    loaded = run(
+        "import json, sys\nfrom zfcantor.cli import main\n"
+        f"assert main(['is-cantor', '--digraph', {str(path)!r}]) == 1\n{LOADED}"
+    )
+    assert "zfcantor.digraphs" in loaded
+    assert not {"zfcantor.formulas", "zfcantor.schemes", "zfcantor.semantics", "zfcantor.substitution"} & set(loaded)
+
+
 def test_census_stays_the_function_after_its_module_is_imported():
     for first, second in [("import zfcantor", "from zfcantor.census import digraph_from_counter"),
                           ("from zfcantor.census import digraph_from_counter", "import zfcantor")]:

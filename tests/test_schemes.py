@@ -132,6 +132,27 @@ class TestValidateScheme:
         with pytest.raises(BadParameterList):
             validate_scheme([doubled])
 
+    def test_construction_refuses_binders_an_expansion_would_capture(self):
+        # both bodies quantify x1, so the word path captures Q's argument inside P's expansion
+        sigs = {"P": 1, "Q": 1}
+        first = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )", sigs)
+        second = shortcut("Q", (X,), "( E x1 P ( x1 ) )", sigs)
+        with pytest.raises(SubstitutabilityViolation):
+            naive_expand((first, second))
+        for mode in ("strict", "relaxed"):
+            with pytest.raises(VariableClash, match=rf"^set-variable index sets of P and Q violate the {mode}"):
+                Scheme((first, second), mode)
+
+    def test_construction_refuses_a_wrong_arity(self):
+        # the body applies the one-place P to two arguments
+        first = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )")
+        second = shortcut("Q", (X,), "P ( ?x ; ?x )", {"P": 2})
+        with pytest.raises(SchemeError, match="^Q: P has arity 1, applied to 2 arguments$"):
+            Scheme((first, second))
+
+    def test_validate_scheme_is_the_constructor(self):
+        assert validate_scheme is Scheme
+
 
 class TestExpand:
     def test_predicate_free_body_expands_to_itself(self):
@@ -171,26 +192,6 @@ class TestExpand:
         words_b = [render(t) for t in expand(fresh)]
         assert words_a == words_b
 
-    def test_capture_is_detected_on_malformed_metadata(self):
-        # bypass validation: both bodies quantify x1, which a valid scheme forbids
-        sigs = {"P": 1, "Q": 1}
-        first = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )", sigs)
-        second = shortcut("Q", (Y,), "( E x1 P ( x1 ) )", sigs)
-        bogus = Scheme(
-            (first, second),
-            (frozenset(), frozenset({1})),
-            (frozenset({1}), frozenset({1})),
-        )
-        with pytest.raises(SubstitutabilityViolation):
-            expand(bogus)
-
-    def test_wrong_arity_is_detected_on_malformed_metadata(self):
-        # bypass validation: the body applies the one-place P to two arguments
-        first = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )")
-        second = shortcut("Q", (X,), "P ( ?x ; ?x )", {"P": 2})
-        with pytest.raises(SchemeError, match="^Q: P has arity 1, applied to 2 arguments$"):
-            expand(Scheme((first, second), (), ()))
-
 
 class TestAgainstTheWordOracle:
     """The tree splice against render, rename, splice by words and parse again."""
@@ -205,7 +206,7 @@ class TestAgainstTheWordOracle:
     def assert_same(self, scheme, keep=None):
         """Both paths on scheme, then on its last expansion with the first keep parameters assigned."""
         got = self.outcome(expand, scheme)
-        assert got == self.outcome(naive_expand, scheme)  # spans included
+        assert got == self.outcome(naive_expand, scheme.shortcuts)  # spans included
         if got[0] != "ok":
             return got
         for tree in got[1]:
@@ -217,26 +218,21 @@ class TestAgainstTheWordOracle:
             assert parse(render(inst[1])) == inst[1]
         return got
 
-    @staticmethod
-    def build(lines, clash):
-        if not clash:
-            return parse_scheme_text("".join(f"{n} ( {' ; '.join(ps)} ) := {b}\n" for n, ps, b in lines))
-        sigs = {name: len(params) for name, params, _ in lines}
-        shortcuts = [
-            Shortcut(name, tuple(new_var(p[1:]) for p in params), parse_text(body, sigs))
-            for name, params, body in lines
-        ]
-        return Scheme(tuple(shortcuts), (), ())  # unvalidated: binders may clash
-
-    @settings(NO_SHRINK, max_examples=200)
+    @settings(NO_SHRINK, max_examples=250)
     @given(st.data())
     def test_random_schemes(self, data):
         clash = data.draw(st.booleans())
-        scheme = self.build(data.draw(scheme_lines(clash=clash)), clash)
+        lines = data.draw(scheme_lines(clash=clash))
+        text = "".join(f"{n} ( {' ; '.join(ps)} ) := {b}\n" for n, ps, b in lines)
+        made = self.outcome(parse_scheme_text, text)
         bound = data.draw(st.sampled_from([MAX_EXPANSION_SYMBOLS, MAX_EXPANSION_SYMBOLS, 300]))
         keep = data.draw(st.integers(0, 3))
+        if made[0] != "ok":
+            # binders drawn with clash are the one flaw the lines can have
+            assert clash and made[0] is VariableClash
+            return
         with mock.patch.object(schemes, "MAX_EXPANSION_SYMBOLS", bound):
-            self.assert_same(scheme, keep)
+            self.assert_same(made[1], keep)
 
     @pytest.mark.parametrize("lines", range(1, 11))
     def test_doubling_schemes(self, lines):
@@ -274,8 +270,12 @@ class TestAgainstTheWordOracle:
         sigs = {"P": 1, "Q": 1, "R": 1}
         lines = [Shortcut("P", (X,), parse_text("( A x1 ( x1 in ?x ) )", sigs))]
         lines += [Shortcut(name, (X,), parse_text(body, sigs)) for name, body in zip("QR", bodies)]
-        kind, _ = self.assert_same(Scheme(tuple(lines), (), ()))
-        assert (kind is SubstitutabilityViolation) == clash
+        # the word path finds a capture exactly where the construction refuses the scheme
+        assert (self.outcome(naive_expand, lines)[0] is SubstitutabilityViolation) == clash
+        made = self.outcome(Scheme, lines)
+        assert (made[0] != "ok") == clash
+        if made[0] == "ok":
+            assert self.assert_same(made[1])[0] == "ok"
 
 
 class TestExpansionGuard:

@@ -27,7 +27,7 @@ from zfcantor.formulas import (
     PredicateAtom,
     parse_text,
 )
-from zfcantor.schemes import Scheme, Shortcut, validate_scheme
+from zfcantor.schemes import Scheme, Shortcut, VariableClash, validate_scheme
 from zfcantor.symbols import PredicateSignature, new_var, set_var
 
 X1, X2 = set_var(1), set_var(2)
@@ -83,7 +83,7 @@ CASES = {
         ("P", (new_var("x"),), BODY),
     ),
     "scheme": (
-        Scheme((SHORTCUT,), (frozenset(),), (frozenset({1}),)),
+        Scheme((SHORTCUT,)),
         validate_scheme([SHORTCUT]),
         f"Scheme(shortcuts=({SHORTCUT!r},), r_sets=(frozenset(),), v_sets=(frozenset({{1}}),),"
         " mode='strict')",
@@ -169,6 +169,22 @@ def test_copies_and_pickles_are_equal(case):
         assert repr(copied) == repr(record)
 
 
+def test_a_scheme_unpickles_equal_by_validating_again():
+    later = Shortcut("Q", (new_var("x"),), parse_text("( E x2 ( x2 = ?x ) )"))
+    scheme = Scheme((later, SHORTCUT), mode="relaxed")  # x2 before x1: relaxed only
+    assert scheme.__reduce__() == (Scheme, ((later, SHORTCUT), "relaxed"))
+    for copied in (copy.copy(scheme), copy.deepcopy(scheme), pickle.loads(pickle.dumps(scheme))):
+        assert copied == scheme
+        assert copied.v_sets == (frozenset({2}), frozenset({1})) and copied.mode == "relaxed"
+
+    class Forged:
+        def __reduce__(self):
+            return Scheme, ((later, SHORTCUT), "strict")
+
+    with pytest.raises(VariableClash):
+        pickle.loads(pickle.dumps(Forged()))
+
+
 def test_only_the_same_class_compares_equal():
     membership, equality = Membership((1, 5), X1, X2), Equality((1, 5), X1, X2)
     assert membership != equality and equality != membership
@@ -207,8 +223,8 @@ def test_constructor_validation(build, message):
 
 
 def test_keyword_and_default_arguments():
-    assert Scheme((SHORTCUT,), (frozenset(),), (frozenset({1}),)).mode == "strict"
-    assert Scheme((), (), (), mode="relaxed").mode == "relaxed"
+    assert Scheme((SHORTCUT,)).mode == "strict"
+    assert Scheme((), mode="relaxed").mode == "relaxed"
     assert CensusRow(n=1, total=2, strongly_extensive=1, cantor=1, elapsed_ms=0.0).non_cantor == ()
     assert Not(span=(1, 6), child=ATOM) == Not((1, 6), ATOM)
     assert Shortcut("P", (new_var("x"),), BODY).arity == 1
