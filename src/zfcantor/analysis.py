@@ -27,9 +27,9 @@ of level [lo, hi] has the in-mask v - lo.
 The module imports only ``digraphs`` and ``records``, and ``digraphs``
 imports it back for ``Digraph.analysis``.  The sentence side (the
 Cantor sentence, the formula tree and its evaluator) is imported by
-the two calls that need it, ``is_cantor(d, method="phi")``, which binds
-it once on its first call, and ``DigraphAnalysis.predicate``, so the
-census and the semantic verdict never load it.
+the two calls that need it, ``is_cantor(d, method="phi")`` and
+``DigraphAnalysis.predicate``, each of which binds it once on its first
+call, so the census and the semantic verdict never load it.
 """
 from __future__ import annotations
 
@@ -232,6 +232,10 @@ def masks_strongly_extensive(masks) -> bool:
 # One digraph
 
 
+# (PREDICATE_ARITIES, ArityMismatch, UnknownPredicate), imported by the first predicate call
+_predicate_side = None
+
+
 class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
@@ -288,11 +292,15 @@ class DigraphAnalysis:
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
         """Evaluate one of the nine predicates directly on the digraph."""
-        from .cantor import PREDICATE_ARITIES
-        from .formulas import ArityMismatch, UnknownPredicate
+        global _predicate_side
+        if _predicate_side is None:
+            from .cantor import PREDICATE_ARITIES
+            from .formulas import ArityMismatch, UnknownPredicate
 
+            _predicate_side = PREDICATE_ARITIES, ArityMismatch, UnknownPredicate
+        arities, ArityMismatch, UnknownPredicate = _predicate_side
         # position 1: the predicate name's place in `NAME ( args )`
-        arity = PREDICATE_ARITIES.get(name)
+        arity = arities.get(name)
         if arity is None:
             raise UnknownPredicate(1, f"predicate {name!r} is not one of the nine")
         if len(args) != arity:

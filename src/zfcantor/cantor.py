@@ -4,53 +4,38 @@ The scheme defines, in order: SUS (subset by in-neighborhoods), SI (sole
 element), SIN (the singleton), DO (the two elements), DOU (the
 doubleton), OPA (the ordered pair), REL (relation into the power set),
 FUN (function into the power set), and SUR (surjection onto the power
-set).  Expanding it yields nine predicate-free formulas whose lengths
-are fixed constants of the construction; the Cantor sentence quantifies
-the last expansion and has exactly 494 symbols, one of them a negation.
+set).  It is kept as scheme-file text and read by parse_scheme_text like
+any other scheme file, so its headers are the one table of the nine
+predicates and their arities.  Expanding it yields nine predicate-free
+formulas whose lengths are fixed constants of the construction; the
+Cantor sentence quantifies the last expansion and has exactly 494
+symbols, one of them a negation.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .formulas import NEGATION, Exists, Forall, Formula, Not, count, is_sentence, parse, render, tokenize
+from .formulas import NEGATION, Formula, count, is_sentence, parse_text, render
 from .records import Record
-from .schemes import Scheme, Shortcut, _instantiate, expand, validate_scheme
-from .symbols import SymbolKind, new_var, set_var
+from .schemes import Scheme, _splice, expand, parse_scheme_text
+from .symbols import SymbolKind
 
-# name, parameters, body (token grammar)
-_SHORTCUT_SOURCES = (
-    ("SUS", "?x ?y", "( A x1 ( ( x1 in ?x ) -> ( x1 in ?y ) ) )"),
-    ("SI", "?x ?y", "( A x2 ( ( x2 in ?x ) <-> ( x2 = ?y ) ) )"),
-    ("SIN", "?x ?y", "( A x3 ( SI ( x3 ; ?y ) <-> ( x3 = ?x ) ) )"),
-    ("DO", "?x ?y ?z", "( A x4 ( ( x4 in ?x ) <-> ( ( x4 = ?y ) | ( x4 = ?z ) ) ) )"),
-    ("DOU", "?x ?y ?z", "( A x5 ( DO ( x5 ; ?y ; ?z ) <-> ( x5 = ?x ) ) )"),
-    (
-        "OPA",
-        "?x ?y ?z",
-        "( E x6 ( E x7 ( DOU ( ?x ; x6 ; x7 ) & ( SIN ( x6 ; ?y ) & DOU ( x7 ; ?y ; ?z ) ) ) ) )",
-    ),
-    (
-        "REL",
-        "?x ?y",
-        "( A x8 ( ( x8 in ?x ) -> ( E x9 ( E x10 ( OPA ( x8 ; x9 ; x10 )"
-        " & ( ( x9 in ?y ) & SUS ( x10 ; ?y ) ) ) ) ) ) )",
-    ),
-    (
-        "FUN",
-        "?x ?y",
-        "( REL ( ?x ; ?y ) & ( A x11 ( ( x11 in ?y ) -> ( E x12 ( A x13 ( ( x13 = x12 )"
-        " <-> ( ( x13 in ?x ) & ( E x14 OPA ( x13 ; x11 ; x14 ) ) ) ) ) ) ) ) )",
-    ),
-    (
-        "SUR",
-        "?x ?y",
-        "( FUN ( ?x ; ?y ) & ( A x15 ( SUS ( x15 ; ?y ) -> ( E x16 ( E x17 ( ( x16 in ?x )"
-        " & OPA ( x16 ; x17 ; x15 ) ) ) ) ) ) )",
-    ),
-)
+SCHEME_TEXT = """\
+SUS ( ?x ; ?y ) := ( A x1 ( ( x1 in ?x ) -> ( x1 in ?y ) ) )
+SI ( ?x ; ?y ) := ( A x2 ( ( x2 in ?x ) <-> ( x2 = ?y ) ) )
+SIN ( ?x ; ?y ) := ( A x3 ( SI ( x3 ; ?y ) <-> ( x3 = ?x ) ) )
+DO ( ?x ; ?y ; ?z ) := ( A x4 ( ( x4 in ?x ) <-> ( ( x4 = ?y ) | ( x4 = ?z ) ) ) )
+DOU ( ?x ; ?y ; ?z ) := ( A x5 ( DO ( x5 ; ?y ; ?z ) <-> ( x5 = ?x ) ) )
+OPA ( ?x ; ?y ; ?z ) := ( E x6 ( E x7 ( DOU ( ?x ; x6 ; x7 ) & ( SIN ( x6 ; ?y ) & DOU ( x7 ; ?y ; ?z ) ) ) ) )
+REL ( ?x ; ?y ) := ( A x8 ( ( x8 in ?x ) -> ( E x9 ( E x10 ( OPA ( x8 ; x9 ; x10 ) & ( ( x9 in ?y ) & SUS ( x10 ; ?y ) ) ) ) ) ) )
+FUN ( ?x ; ?y ) := ( REL ( ?x ; ?y ) & ( A x11 ( ( x11 in ?y ) -> ( E x12 ( A x13 ( ( x13 = x12 ) <-> ( ( x13 in ?x ) & ( E x14 OPA ( x13 ; x11 ; x14 ) ) ) ) ) ) ) ) )
+SUR ( ?x ; ?y ) := ( FUN ( ?x ; ?y ) & ( A x15 ( SUS ( x15 ; ?y ) -> ( E x16 ( E x17 ( ( x16 in ?x ) & OPA ( x16 ; x17 ; x15 ) ) ) ) ) ) )
+"""
 
-PREDICATE_NAMES = tuple(name for name, _, _ in _SHORTCUT_SOURCES)
-PREDICATE_ARITIES = {name: len(params.split()) for name, params, _ in _SHORTCUT_SOURCES}
+# The sentence around the SUR atom.  It quantifies only x18 and x19, above
+# every index the nine bodies use, so splicing the SUR expansion into it
+# captures nothing, as in a strict scheme.
+PHI_SKELETON = "( A x18 ! ( E x19 SUR ( x19 ; x18 ) ) )"
 
 EXPECTED_LENGTHS = (17, 17, 29, 25, 37, 117, 165, 325, 485)
 EXPECTED_NEGATIONS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -80,13 +65,12 @@ class NamedExpansion(Record):
 
 @lru_cache(maxsize=1)
 def builtin_scheme() -> Scheme:
-    """The nine-shortcut scheme SUS..SUR, validated in strict mode."""
-    sigs = dict(PREDICATE_ARITIES)
-    shortcuts = []
-    for name, params, body_text in _SHORTCUT_SOURCES:
-        params_syms = tuple(new_var(tok[1:]) for tok in params.split())
-        shortcuts.append(Shortcut(name, params_syms, parse(tokenize(body_text), sigs)))
-    return validate_scheme(shortcuts, mode="strict")
+    """The nine-shortcut scheme SUS..SUR, read from SCHEME_TEXT in strict mode."""
+    return parse_scheme_text(SCHEME_TEXT, mode="strict")
+
+
+PREDICATE_ARITIES = {sc.name: sc.arity for sc in builtin_scheme().shortcuts}
+PREDICATE_NAMES = tuple(PREDICATE_ARITIES)
 
 
 @lru_cache(maxsize=1)
@@ -115,16 +99,14 @@ def emit_expansions() -> list[NamedExpansion]:
 def emit_phi() -> Formula:
     """The Cantor sentence: no vertex is a surjection onto any power set.
 
-    Built as `( A x18 ! ( E x19 <SUR expansion at (x19; x18)> ) )`: the
-    SUR expansion is instantiated with its spans starting at position 8
-    and wrapped in the three nodes around it, with no word parsed.  The
+    PHI_SKELETON is parsed and the SUR expansion spliced into its atom
+    `SUR ( x19 ; x18 )`, as expand splices an expansion into a body.  The
     result is a 494-symbol sentence over set variables x1..x19 with a
     single negation, which the checks below confirm on its rendered word.
     """
-    surjection = _expansions()[-1].formula
-    body = _instantiate(surjection, {new_var("x"): set_var(19), new_var("y"): set_var(18)}, 8)
-    end = body.span[1]
-    tree = Forall((1, end + 2), set_var(18), Not((4, end + 1), Exists((5, end + 1), set_var(19), body)))
+    surjection = builtin_scheme().shortcuts[-1]
+    expansions = {surjection.name: (surjection.params, _expansions()[-1].formula)}
+    tree = _splice(parse_text(PHI_SKELETON, {surjection.name: surjection.arity}), expansions)
     word = render(tree)
     if len(word) != SENTENCE_LENGTH or count(word, NEGATION) != SENTENCE_NEGATIONS:
         raise LengthMismatch(

@@ -17,7 +17,8 @@ every span is moved to its place in the new word.  So no expansion is
 rendered or parsed again, and each tree equals the parse of its word.
 The bodies of a well-formed scheme quantify pairwise disjoint sets of
 variables, so no splice can capture one; capture concerns only
-``instantiate``, whose targets the caller chooses.
+``instantiate``, whose targets the caller chooses.  The Cantor sentence
+is made by the same splice (see cantor.py).
 """
 from __future__ import annotations
 
@@ -31,15 +32,15 @@ from .formulas import (
     PredicateAtom,
     Quantifier,
     RelationAtom,
+    _predicate_atom,
     _variable_sites,
     parse,
     predicate_atoms,
     tokenize,
 )
 from .records import InvalidInput, Record
-from .symbols import PredicateSignature, Symbol, SymbolKind, new_var, predicate
+from .symbols import SEMICOLON, PredicateSignature, Symbol, SymbolKind, new_var, predicate
 
-INDEXED_PARAMS = tuple(new_var(f"y{i}") for i in range(1, 10))
 LETTER_PARAMS = (new_var("x"), new_var("y"), new_var("z"))
 
 # Most symbols in all expansions of one scheme: each shortcut can double an
@@ -122,7 +123,7 @@ class Scheme(Record):
         r_sets: list[frozenset[int]] = []
         v_sets: list[frozenset[int]] = []
         for i, sc in enumerate(shortcuts, start=1):
-            _check_params(sc)
+            _check_params(sc.name, sc.params)
             # in position order, so each error names the leftmost offender
             sites = _variable_sites(sc.body)
             free = [var for var, _, bound in sites if not bound and var.kind is SymbolKind.SET_VAR]
@@ -175,19 +176,18 @@ class Scheme(Record):
         return self.__class__, (self.shortcuts, self.mode)
 
 
-def _check_params(sc: Shortcut) -> None:
-    k = sc.arity
-    if len(set(sc.params)) != k:
-        raise BadParameterList(f"{sc.name}: parameters must be distinct")
-    if any(p.kind is not SymbolKind.NEW_VAR for p in sc.params):
-        raise BadParameterList(f"{sc.name}: parameters must be new variables")
-    if sc.params == INDEXED_PARAMS[:k]:
+def _check_params(name: str, params: tuple[Symbol, ...]) -> None:
+    k = len(params)
+    # only a new variable is named y1, y2, ...
+    if params == LETTER_PARAMS[:k] or all(p.name == f"y{i}" for i, p in enumerate(params, start=1)):
         return
-    if k <= 3 and sc.params == LETTER_PARAMS[:k]:
-        return
-    raise BadParameterList(
-        f"{sc.name}: parameters must be ?y1..?y{k}" + (" or ?x ?y ?z" if k <= 3 else "")
-    )
+    if len(set(params)) != k:
+        raise BadParameterList(f"{name}: parameters must be distinct")
+    if any(p.kind is not SymbolKind.NEW_VAR for p in params):
+        raise BadParameterList(f"{name}: parameters must be new variables")
+    indexed = " ".join(f"?y{i}" for i in range(1, k + 1))
+    letters = " ".join(p.token for p in LETTER_PARAMS[:k])
+    raise BadParameterList(f"{name}: parameters must be {indexed}" + (f" or {letters}" if k <= 3 else ""))
 
 
 def _precedes(a: frozenset[int], b: frozenset[int]) -> bool:
@@ -202,43 +202,53 @@ validate_scheme = Scheme
 def expand(scheme: Scheme) -> list[Formula]:
     """Forward expansion of every shortcut into a predicate-free formula.
 
-    The first body is its own expansion.  Each later body is copied once,
-    with every predicate atom replaced by the tree of the referenced
-    expansion, its parameters renamed to the atom's arguments, and every
-    span moved to its place in the new word; nothing is rendered or parsed
-    again.  The scheme is well formed, so each atom applies an earlier
-    shortcut to as many arguments as it has parameters, and nothing is
-    checked again: the inserted tree quantifies only variables of earlier
-    bodies, which neither the host body nor the atom's arguments use.
+    The first body is its own expansion; each later one is the body with
+    the expansions of earlier shortcuts spliced into its atoms (_splice).
+    The scheme is well formed, so nothing is checked again: each atom
+    applies an earlier shortcut to as many arguments as it has parameters,
+    and the inserted tree quantifies only variables of earlier bodies,
+    which neither the host body nor the atom's arguments use.
     The length of each expansion is known from the spans before it is
     built, and SizeGuardExceeded is raised once the expansions together
     pass MAX_EXPANSION_SYMBOLS.  An expansion nesting deeper than
     MAX_DEPTH raises NestingTooDeep, as parse would on its word.
     """
-    shortcuts = scheme.shortcuts
-    index = {sc.name: i for i, sc in enumerate(shortcuts)}
+    expansions: dict[str, tuple[tuple[Symbol, ...], Formula]] = {}
     trees: list[Formula] = []
     total = 0
-    for sc in shortcuts:
-        atoms = [(atom, index[atom.name]) for atom in predicate_atoms(sc.body)]
-        total += len(sc.body) + sum(len(trees[k]) - len(atom) for atom, k in atoms)
+    for sc in scheme.shortcuts:
+        atoms = predicate_atoms(sc.body)
+        total += len(sc.body) + sum(len(expansions[atom.name][1]) - len(atom) for atom in atoms)
         if total > MAX_EXPANSION_SYMBOLS:
             raise SizeGuardExceeded(
                 f"{sc.name}: the expansions reach {total} symbols, over the guard"
                 f" {MAX_EXPANSION_SYMBOLS}"
             )
-        inserts = {atom.span[0]: (trees[k], dict(zip(shortcuts[k].params, atom.args))) for atom, k in atoms}
-        trees.append(_relocate(sc.body, 1, 0, {}, inserts)[0])
+        tree = _splice(sc.body, expansions)
+        expansions[sc.name] = sc.params, tree
+        trees.append(tree)
     return trees
+
+
+def _splice(body: Formula, expansions: dict) -> Formula:
+    """A copy of body with each predicate atom replaced by its expansion.
+
+    ``expansions`` maps a predicate name to its shortcut's parameters and
+    expansion.  The copy renames the parameters to the atom's arguments
+    and moves every span to its place in the new word, so nothing is
+    rendered or parsed again.  Nothing is checked for capture either:
+    the caller rules it out.
+    """
+    return _relocate(body, 1, 0, {}, expansions)[0]
 
 
 def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts, seen=None) -> tuple[Formula, int]:
     """A copy of node whose word starts at pos, and the copy's last position.
 
-    Variables are renamed by ``rename``.  ``inserts`` maps the start of
-    each predicate atom of a shortcut body to the expansion replacing it
-    and the renaming of that expansion's parameters; it is None inside
-    an inserted expansion or an instantiated one, which hold no atoms.
+    Variables are renamed by ``rename``.  ``inserts`` maps each predicate
+    name of a host body to the parameters and expansion that replace its
+    atoms (see _splice); it is None inside an inserted expansion or an
+    instantiated one, which hold no atoms.
     The recursion takes one level per compound formula and stops past
     MAX_DEPTH with the error parse gives at the same position.
 
@@ -271,8 +281,8 @@ def _relocate(node: Formula, pos: int, depth: int, rename: dict, inserts, seen=N
             _see_uncovered(seen, rename, node.args)
             seen[predicate(node.name)] = None
             return node, pos + len(node) - 1
-        tree, renaming = inserts[node.span[0]]
-        return _relocate(tree, pos, depth, renaming, None)
+        params, tree = inserts[node.name]
+        return _relocate(tree, pos, depth, dict(zip(params, node.args)), None)
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -293,11 +303,6 @@ def instantiate(expansion: Formula, assignment) -> Formula:
     it, uncovered variables first.  Length and spans are preserved, and
     nothing is parsed again.
     """
-    return _instantiate(expansion, assignment, 1)
-
-
-def _instantiate(expansion: Formula, assignment, start: int) -> Formula:
-    """instantiate, with the copy's word starting at position start."""
     table = dict(assignment)
     for source, target in table.items():
         if getattr(source, "kind", None) is not SymbolKind.NEW_VAR:
@@ -305,7 +310,7 @@ def _instantiate(expansion: Formula, assignment, start: int) -> Formula:
         if not target.is_variable:
             raise SchemeError(f"instantiation target {target!r} is not a variable")
     seen: dict[Symbol, None] = {}
-    tree = _relocate(expansion, start, 0, table, None, seen)[0]
+    tree = _relocate(expansion, 1, 0, table, None, seen)[0]
     missing = [var.token for var in seen if var.kind is SymbolKind.NEW_VAR]
     if missing:
         raise UncoveredParameter(f"assignment does not cover {', '.join(sorted(missing))}")
@@ -321,57 +326,46 @@ def _instantiate(expansion: Formula, assignment, start: int) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Scheme files: one shortcut per line, `NAME ( ?x ; ?y ) := <body>`,
-# ordered as in the file; `#` begins a comment line.
+# Scheme files
 
 
 def parse_scheme_text(text: str, mode: str = "strict") -> Scheme:
+    """The Scheme that a scheme file spells, built in the given mode.
+
+    A scheme file holds one shortcut per line, ``NAME ( p1 ; ... ; pk ) :=
+    <body>``, in scheme order; ``#`` begins a comment that runs to the end
+    of its line.  Each header is read as the predicate atom it spells, so
+    it may have any arity, and every header is read and its parameters
+    checked before any body is parsed.  An error met while reading a line
+    starts with ``line N:``.
+    """
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":=" not in line:
-            raise SchemeError(f"line {lineno}: expected `NAME ( params ) := body`")
-        head, body_text = line.split(":=", 1)
-        lines.append((lineno, head.strip(), body_text.strip()))
-
-    headers = [(lineno, _parse_header(lineno, head)) for lineno, head, _ in lines]
-    sigs = {}
-    for _, (name, params) in headers:
-        if name in sigs:
-            raise SchemeError(f"duplicate shortcut name {name}")
-        sigs[name] = len(params)
-
+    sigs: dict[str, int] = {}
     shortcuts = []
-    for (lineno, (name, params)), (_, _, body_text) in zip(headers, lines):
-        try:
-            body = parse(tokenize(body_text), sigs)
-        except ValueError as exc:
-            raise SchemeError(f"line {lineno}: {exc}") from exc
-        shortcuts.append(Shortcut(name, params, body))
-    return validate_scheme(shortcuts, mode)
-
-
-def _parse_header(lineno: int, head: str) -> tuple[str, tuple[Symbol, ...]]:
-    word = tokenize(head)
-    if (
-        len(word) < 4
-        or word[0].kind is not SymbolKind.PREDICATE
-        or word[1].kind is not SymbolKind.LPAREN
-        or word[-1].kind is not SymbolKind.RPAREN
-    ):
-        raise SchemeError(f"line {lineno}: malformed shortcut header {head!r}")
-    params = []
-    expect_var = True
-    for sym in word[2:-1]:
-        if expect_var:
-            if sym.kind is not SymbolKind.NEW_VAR:
-                raise SchemeError(f"line {lineno}: parameter {sym.token!r} is not a new variable")
-            params.append(sym)
-        elif sym.kind is not SymbolKind.SEMICOLON:
-            raise SchemeError(f"line {lineno}: expected ';' between parameters")
-        expect_var = not expect_var
-    if expect_var:
-        raise SchemeError(f"line {lineno}: trailing ';' in the parameter list")
-    return word[0].name, tuple(params)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            head, assign, body_text = line.partition(":=")
+            if not assign:
+                raise SchemeError("expected `NAME ( params ) := body`")
+            word = tokenize(head)
+            if not word or word[0].kind is not SymbolKind.PREDICATE:
+                raise SchemeError(f"malformed shortcut header {head.strip()!r}")
+            # `NAME ( p1 ; ... ; pk )` holds k - 1 semicolons
+            atom = _predicate_atom(word, 1, {word[0].name: word.count(SEMICOLON) + 1})
+            if atom.span[1] != len(word):
+                raise SchemeError(f"malformed shortcut header {head.strip()!r}")
+            _check_params(atom.name, atom.args)
+            if atom.name in sigs:
+                raise SchemeError(f"duplicate shortcut name {atom.name}")
+            sigs[atom.name] = len(atom.args)
+            lines.append((lineno, atom, body_text.strip()))  # offsets count from the body's first token
+        for lineno, atom, body_text in lines:
+            shortcuts.append(Shortcut(atom.name, atom.args, parse(tokenize(body_text), sigs)))
+    except ValueError as exc:
+        # a SchemeError keeps its class, and a parse error becomes one
+        error = exc.__class__ if isinstance(exc, SchemeError) else SchemeError
+        raise error(f"line {lineno}: {exc}") from exc
+    return Scheme(shortcuts, mode)

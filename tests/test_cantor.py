@@ -65,6 +65,11 @@ def test_sentence_is_a_sentence():
     assert is_sentence(emit_phi())
 
 
+def test_sentence_tree_is_the_parse_of_its_word():
+    # spans included: the splice moves every span of the SUR expansion into place
+    assert parse(render(emit_phi())) == emit_phi()
+
+
 def test_sentence_is_universal_over_x18():
     tree = emit_phi()
     label, _, var = classify(tree)

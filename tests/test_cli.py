@@ -190,6 +190,18 @@ class TestDigraphVerbs:
         assert code == 0
         assert out.strip().splitlines() == ["extract-surjection true", "pair 1 1"]
 
+    def test_a_witness_is_read_back_swapped(self, run, digraph_file):
+        # is-cantor names the ground vertex u and the surjection v, while
+        # extract-surjection takes the surjection as --u and the ground as --v
+        path = digraph_file("vertices 4\n1 2\n1 3\n2 3\n2 4\n3 4\n4 1\n")
+        assert run("is-cantor", "--digraph", path) == (1, "is-cantor false\nwitness u=2 v=1\n", "")
+        assert run("extract-surjection", "--digraph", path, "--u", "1", "--v", "2") == (
+            0, "extract-surjection true\npair 1 2\n", ""
+        )
+        assert run("extract-surjection", "--digraph", path, "--u", "2", "--v", "1")[:2] == (
+            1, "extract-surjection false\n"
+        )
+
     def test_extract_surjection_false(self, run, digraph_file):
         path = digraph_file("vertices 1\n")
         code, out, _ = run("extract-surjection", "--digraph", path, "--u", "1", "--v", "1")
@@ -277,6 +289,21 @@ class TestErrors:
         path.write_text("P ( ?x ) := ( A x1 ( x1 in ?x ) )\nQ ( ?x ) := ( E x1 ( x1 in ?x ) )\n")
         assert run("expand-scheme", "--scheme", str(path)) == (
             1, "", "invalid: set-variable index sets of P and Q violate the strict ordering: [1] vs [1]\n"
+        )
+
+    def test_a_bad_header_names_its_line(self, run, tmp_path):
+        path = tmp_path / "bad.scheme"
+        path.write_text("P ( ?x ) := ( A x1 ( x1 in ?x ) )\nQ@ ( ?x ) := ( A x2 ( x2 in ?x ) )\n")
+        assert run("expand-scheme", "--scheme", str(path)) == (
+            1, "", "invalid: line 2: position 1: unknown token 'Q@'\n"
+        )
+
+    def test_a_ten_parameter_shortcut_with_a_comment_expands(self, run, tmp_path):
+        params = " ; ".join(f"?y{i}" for i in range(1, 11))
+        path = tmp_path / "ten.scheme"
+        path.write_text(f"P ( {params} ) := ( A x1 ( x1 in ?y10 ) )  # ten parameters\n")
+        assert run("expand-scheme", "--annotate", "--scheme", str(path)) == (
+            0, "( A x1 ( x1 in ?y10 ) ) # length=9 neg=0\n", ""
         )
 
     def test_a_plain_value_error_is_not_invalid_input(self, capsys, digraph_file):
