@@ -2,7 +2,7 @@
 
 All counts are over labeled digraphs, and both properties are invariant
 under relabeling.  A digraph is a tuple of in-neighborhood masks (bit
-u-1 of ``masks[v-1]`` set when u -> v).  The counts come from
+u-1 of ``masks[v-1]`` set when u -> v).  The Cantor count comes from
 degree-sorted representatives: the mask tuples whose (in-degree,
 out-degree) pairs are non-increasing.  Relabeling maps the digraphs
 with one arrangement of a multiset of pairs one-to-one onto those with
@@ -10,9 +10,17 @@ any other arrangement, so each representative stands for n! / prod(m!)
 labeled digraphs, m running over the multiplicities of its pairs.  The
 weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
 raised.  Work splits into one task per in-degree sequence and first
-mask; the result does not depend on the number of jobs.  The size
-bound is n <= 5 (``HARD_MAX_N``): n = 6 has 96,928,992 digraphs even
-up to relabeling, out of reach of this pass.
+mask; the result does not depend on the number of jobs.  A task whose
+in-degrees include no 1 has no singleton vertex, hence no ordered pair
+and no surjection onto a power set, so its representatives are counted
+Cantor without a scan.  The size bound is n <= 5 (``HARD_MAX_N``):
+n = 6 has 96,928,992 digraphs even up to relabeling, out of reach of
+this pass.
+
+The strongly extensive count is not scanned for at all: it is the
+closed form ``strongly_extensive_count``, a sum over downsets of
+subsets of [n], computed once per n on first use and checked against
+the scan by strongly extensive <= Cantor.
 
 The non-Cantor digraphs are listed by counter, where arrow (u, v) is
 present when bit (u-1)*n + (v-1) of the counter is set.  Every
@@ -28,10 +36,10 @@ import os
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
-from .analysis import find_surjection, masks_strongly_extensive, pair_table, unique_vertices
+from .analysis import find_surjection, pair_table, unique_vertices
 from .digraphs import Digraph, SizeGuardExceeded, transpose
 from .records import Record
 
@@ -104,8 +112,8 @@ def _reduced_tasks(n: int) -> list[tuple[int, tuple[int, ...], int]]:
     ]
 
 
-def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, int, list]:
-    """(weight, strongly extensive, Cantor, non-Cantor masks) over one task's representatives.
+def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, list]:
+    """(weight, Cantor, non-Cantor masks) over one task's representatives.
 
     A representative is a mask tuple with the task's in-degrees whose
     (in-degree, out-degree) pairs are non-increasing.  Summing the
@@ -115,6 +123,13 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, in
     a guard that absorbs the subtraction without a borrow.  Prefixes are
     grouped by their partial sum, and a prefix of k masks is dropped as
     soon as n-k more masks cannot repair a tie.
+
+    The in-degrees alone can settle the Cantor scan.  An ordered-pair
+    vertex has a singleton vertex as an element, and a singleton vertex
+    is one of in-degree 1; a surjection onto a power set has pair
+    vertices as its elements.  So when no in-degree is 1 every
+    representative is Cantor, and a group keeps only its size, which is
+    all that its weight needs.
     """
     n, degrees, first = task
     by_degree, spread = _tables(n)
@@ -123,26 +138,32 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, in
         if degrees[i] == degrees[i + 1]:
             lo |= 7 << 4 * i
             guard |= 8 << 4 * i
-    groups = {spread[first]: [(first,)]}
+    scan = 1 in degrees  # else no singleton vertex, so no pair vertex and no surjection
+    groups = {spread[first]: [(first,)] if scan else 1}
     for k, d in enumerate(degrees[1:], 2):
         slack = (n - k) * (guard >> 3)
-        grown: dict[int, list[tuple[int, ...]]] = {}
-        for t, prefixes in groups.items():
+        grown: dict = {}
+        for t, group in groups.items():
             for m in by_degree[d]:
                 s = t + spread[m]
                 if ((s & lo) + slack | guard) - (s >> 4 & lo) & guard == guard:
-                    grown.setdefault(s, []).extend([p + (m,) for p in prefixes])
+                    if scan:
+                        grown.setdefault(s, []).extend([p + (m,) for p in group])
+                    else:
+                        grown[s] = grown.get(s, 0) + group
         groups = grown
-    total = strongly_extensive = cantor = 0
+    if not scan:
+        total = sum(_weight(n, degrees, s) * size for s, size in groups.items())
+        return total, total, []
+    total = cantor = 0
     non_cantor: list[tuple[int, ...]] = []
     for s, group in groups.items():
         weight = _weight(n, degrees, s)
         found = [m for m in group if find_surjection(m, pair_table(unique_vertices(m))) is not None]
         total += weight * len(group)
-        strongly_extensive += weight * sum(map(masks_strongly_extensive, group))
         cantor += weight * (len(group) - len(found))
         non_cantor += found
-    return total, strongly_extensive, cantor, non_cantor
+    return total, cantor, non_cantor
 
 
 def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
@@ -156,6 +177,38 @@ def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
         else:
             run = 1
     return weight
+
+
+@lru_cache(maxsize=None)
+def strongly_extensive_count(n: int) -> int:
+    """e_n, the number of strongly extensive digraphs on [n], in closed form.
+
+    A digraph is strongly extensive exactly when its realized masks form
+    a downset D of subsets of [n] that contains the empty mask, and then
+    |D| <= n.  So e_n sums, over those downsets, the surj(n, |D|) maps
+    from [n] onto D.  Adding masks in increasing order, each only once
+    all of its one-bit removals are in, builds every downset once: a
+    subset is a smaller number, so each prefix of a downset's increasing
+    order is itself a downset.
+    """
+    limit = 1 << n
+
+    def grow(realized: set[int], last: int) -> int:
+        count = _surjections(n, len(realized))
+        if len(realized) < n:
+            for m in range(last + 1, limit):
+                if all(m ^ 1 << u in realized for u in range(n) if m >> u & 1):
+                    realized.add(m)
+                    count += grow(realized, m)
+                    realized.remove(m)
+        return count
+
+    return grow({0}, 0)
+
+
+def _surjections(n: int, k: int) -> int:
+    """The number of maps from an n-set onto a k-set, by inclusion-exclusion."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
 def _relabelings(n: int, masks: tuple[int, ...]) -> Iterator[int]:
@@ -188,12 +241,13 @@ def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
 
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_count_reduced, tasks, chunksize=1)
-    weight, strongly_extensive, cantor = (sum(p[i] for p in parts) for i in range(3))
+    weight, cantor = (sum(p[i] for p in parts) for i in range(2))
+    strongly_extensive = strongly_extensive_count(n)
     if weight != total:
         raise CensusChecksumError(f"weights sum to {weight}, not 2^{n * n}")
     if not strongly_extensive <= cantor <= total:
         raise CensusChecksumError(f"counts {strongly_extensive} <= {cantor} <= {total} fail")
-    reps = (masks for p in parts for masks in p[3]) if witnesses else ()
+    reps = (masks for p in parts for masks in p[2]) if witnesses else ()
     non_cantor = tuple(sorted({c for masks in reps for c in _relabelings(n, masks)}))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)

@@ -15,7 +15,7 @@ import sys
 
 from typing import TYPE_CHECKING
 
-from .records import InvalidInput
+from .records import InvalidInput, uncommented_lines
 
 if TYPE_CHECKING:
     from .digraphs import Digraph
@@ -44,12 +44,8 @@ def _read_source(path: str | None) -> str:
         raise CliError(f"{'stdin' if from_stdin else path}: not UTF-8 text at byte {exc.start}") from exc
 
 
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
 def _formula_text(args) -> str:
-    text = _strip_comments(_read_source(args.formula))
+    text = "\n".join(uncommented_lines(_read_source(args.formula)))
     if not text.strip():
         raise CliError("no formula given")
     return text
@@ -57,8 +53,7 @@ def _formula_text(args) -> str:
 
 def _formula_lines(args) -> list[str]:
     if args.lines:
-        text = _strip_comments(_read_source(args.formula))
-        return [line for line in text.splitlines() if line.strip()]
+        return [line for line in uncommented_lines(_read_source(args.formula)) if line.strip()]
     return [_formula_text(args)]
 
 

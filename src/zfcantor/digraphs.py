@@ -17,7 +17,7 @@ import warnings
 from functools import cached_property
 from typing import Iterable
 
-from .records import InvalidInput, Record
+from .records import InvalidInput, Record, uncommented_lines
 
 
 # Most vertices of a digraph: checks allocate per-vertex tables.
@@ -160,9 +160,7 @@ def edgeless(n: int) -> Digraph:
 
 def load_digraph(text: str) -> Digraph:
     """Parse digraph file content.  Duplicate arrows warn and collapse."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
+    lines = uncommented_lines(text)
     rows = enumerate(map(str.split, lines), start=1)
     for lineno, fields in rows:
         if not fields:

@@ -12,7 +12,8 @@ deleting a field raises ``dataclasses.FrozenInstanceError``.  The
 error path only.
 
 Every layer imports this module, so it also holds ``InvalidInput``, the
-one root of the errors that refuse an input.
+one root of the errors that refuse an input, and ``uncommented_lines``,
+the one ``#`` comment rule of formula, digraph and scheme text.
 """
 from __future__ import annotations
 
@@ -21,6 +22,14 @@ from operator import attrgetter
 
 class InvalidInput(ValueError):
     """An input is refused: a malformed formula, scheme, word or digraph, or one past a guard."""
+
+
+def uncommented_lines(text: str) -> list[str]:
+    """The lines of text, each cut at its first ``#``: a comment runs to the end of its line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return lines
 
 
 def frozen_error(message: str) -> AttributeError:

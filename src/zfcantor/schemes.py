@@ -38,7 +38,7 @@ from .formulas import (
     predicate_atoms,
     tokenize,
 )
-from .records import InvalidInput, Record
+from .records import InvalidInput, Record, uncommented_lines
 from .symbols import SEMICOLON, PredicateSignature, Symbol, SymbolKind, new_var, predicate
 
 LETTER_PARAMS = (new_var("x"), new_var("y"), new_var("z"))
@@ -343,8 +343,8 @@ def parse_scheme_text(text: str, mode: str = "strict") -> Scheme:
     sigs: dict[str, int] = {}
     shortcuts = []
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+        for lineno, line in enumerate(uncommented_lines(text), start=1):
+            line = line.strip()
             if not line:
                 continue
             head, assign, body_text = line.partition(":=")

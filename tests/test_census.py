@@ -6,7 +6,10 @@ import subprocess
 import sys
 from itertools import islice
 
+import hypothesis
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from naive import (
     counter_order_census,
@@ -16,7 +19,13 @@ from naive import (
     naive_is_cantor,
     naive_is_strongly_extensive,
 )
-from zfcantor.analysis import DigraphAnalysis, is_strongly_extensive
+from zfcantor.analysis import (
+    DigraphAnalysis,
+    find_surjection,
+    is_strongly_extensive,
+    pair_table,
+    unique_vertices,
+)
 from zfcantor.cantor import emit_phi
 from zfcantor.census import (
     CensusChecksumError,
@@ -24,6 +33,7 @@ from zfcantor.census import (
     census,
     digraph_from_counter,
     format_row,
+    strongly_extensive_count,
 )
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.semantics import evaluate_sentence
@@ -131,9 +141,46 @@ class TestReducedPass:
 
     def test_counts_out_of_order_raise(self, monkeypatch):
         module = importlib.import_module("zfcantor.census")
-        monkeypatch.setattr(module, "masks_strongly_extensive", lambda masks: True)
+        monkeypatch.setattr(module, "strongly_extensive_count", lambda n: 2 ** (n * n))
         with pytest.raises(CensusChecksumError, match="counts 512 <= 388 <= 512 fail"):
             census(3)
+
+
+class TestClosedForm:
+    """The strongly-extensive column, counted over downsets instead of digraphs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_counter_order_pass(self, n):
+        assert strongly_extensive_count(n) == counter_order_census(n)[0][1]
+
+    def test_frozen_n5(self):
+        assert strongly_extensive_count(5) == FROZEN[5][1]
+
+    def test_beyond_the_census_bound(self):
+        assert strongly_extensive_count(6) == 310_393
+        assert strongly_extensive_count(7) == 11_857_609
+
+
+NO_SINGLETON = {n: [m for m in range(1 << n) if m.bit_count() != 1] for n in range(1, 9)}
+
+
+@st.composite
+def no_singleton_masks(draw):
+    """The masks of a digraph on up to 8 vertices where no vertex has in-degree 1."""
+    n = draw(st.integers(1, 8))
+    return tuple(draw(st.lists(st.sampled_from(NO_SINGLETON[n]), min_size=n, max_size=n)))
+
+
+@hypothesis.seed(61705)
+@given(no_singleton_masks())
+def test_no_singleton_vertex_means_no_pair_and_cantor(masks):
+    """The lemma that lets the census skip the scan of tasks with no in-degree 1."""
+    pairs = pair_table(unique_vertices(masks))
+    assert pairs == {}
+    assert find_surjection(masks, pairs) is None
+    d = Digraph.from_masks(masks)
+    assert DigraphAnalysis(d).is_cantor()
+    assert naive_is_cantor(d)
 
 
 class TestExamplesAreCounted:
