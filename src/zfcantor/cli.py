@@ -60,13 +60,11 @@ def _formula_lines(args) -> list[str]:
 def _load_digraph_arg(args) -> Digraph:
     from .digraphs import load_digraph
 
-    if args.digraph is None:
-        raise CliError("--digraph is required")
     return load_digraph(_read_source(args.digraph))
 
 
 def _parse_assignment(spec: str | None) -> dict[Symbol, int]:
-    from .formulas import tokenize
+    from .formulas import ParseError, tokenize
 
     env: dict[Symbol, int] = {}
     if not spec:
@@ -78,11 +76,15 @@ def _parse_assignment(spec: str | None) -> dict[Symbol, int]:
         if "=" not in item:
             raise CliError(f"bad assignment {item!r}, expected var=vertex")
         var_text, vertex_text = item.split("=", 1)
-        word = tokenize(var_text.strip())
+        var_text = var_text.strip()
+        try:
+            word = tokenize(var_text)
+        except ParseError:  # a malformed token is a bad variable like any other
+            word = ()
         if len(word) != 1 or not word[0].is_variable:
-            raise CliError(f"bad assignment variable {var_text.strip()!r}")
+            raise CliError(f"bad assignment variable {var_text!r}")
         if word[0] in env:
-            raise CliError(f"variable {var_text.strip()!r} is bound twice")
+            raise CliError(f"variable {var_text!r} is bound twice")
         try:
             env[word[0]] = int(vertex_text)
         except ValueError:

@@ -155,10 +155,11 @@ class Formula(Record):
 
     ``label`` names the grammar case of the node, ``symbol`` is the fixed
     symbol that spells it (predicate atoms have none), and ``children``
-    are its immediate subformulas.
+    are its immediate subformulas.  The ``_plan`` slot, not a field, holds
+    the tree's evaluation plan once ``semantics`` has compiled it.
     """
 
-    __slots__ = ("span",)
+    __slots__ = ("span", "_plan")
     label: ClassVar[str]
     symbol: ClassVar[Symbol]
     children: ClassVar[tuple[Formula, ...]] = ()

@@ -23,15 +23,15 @@ axis.  The cost is O(|formula| * n^w) for w the most axes of any table
 for the Cantor sentence.
 
 The axis layout of every node, the broadcast steps and the free
-variables depend on the tree alone, so they are compiled once into a
-plan.  Plans are cached by tree identity, not by value (hashing a large
-tree costs more than evaluating it on a small digraph).  No table may
+variables depend on the tree alone, so a tree's first evaluation
+compiles them into a plan kept in the tree's ``_plan`` slot.  Threads
+racing on that evaluation compile equal plans and the slot keeps one, so
+no lock is needed; a copy of a tree compiles its own.  No table may
 exceed MAX_TABLE_CELLS cells; the bound is checked from the plan before
 any table is built.
 """
 from __future__ import annotations
 
-import threading
 from typing import Mapping
 
 from .digraphs import Digraph, SizeGuardExceeded, transpose
@@ -158,22 +158,12 @@ def _compile(tree: Formula) -> _Plan:
     return tuple(program), tuple(free), width, unexpanded
 
 
-_PLAN_CACHE_SIZE = 64
-# id(tree) -> (tree, plan).  Holding the tree keeps its id from being
-# reused by another tree while the entry lives.
-_plans: dict[int, tuple[Formula, _Plan]] = {}
-_plans_lock = threading.Lock()
-
-
 def _plan(tree: Formula) -> _Plan:
-    entry = _plans.get(id(tree))
-    if entry is None:
-        plan = _compile(tree)
-        with _plans_lock:
-            if len(_plans) >= _PLAN_CACHE_SIZE:
-                del _plans[next(iter(_plans))]  # the oldest entry
-            entry = _plans[id(tree)] = (tree, plan)
-    return entry[1]
+    try:
+        return tree._plan
+    except AttributeError:  # the tree's first evaluation
+        Formula._plan.__set__(tree, _compile(tree))
+        return tree._plan
 
 
 def _broadcast(table: int, cells: int, steps, size: list[int]) -> int:

@@ -146,6 +146,32 @@ class TestEval:
         code, _, _ = run("eval", "--digraph", path, "--assign", "x1", stdin="( x1 in x1 )")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "assign, message",
+        [
+            ("x0=1", "bad assignment variable 'x0'"),
+            ("?q=1", "bad assignment variable '?q'"),
+            ("SUS=1", "bad assignment variable 'SUS'"),
+            ("x1=a", "bad assignment vertex 'a'"),
+            ("x1", "bad assignment 'x1', expected var=vertex"),
+            ("x1=1,x1=2", "variable 'x1' is bound twice"),
+        ],
+    )
+    def test_every_malformed_assignment_is_usage_error(self, run, digraph_file, assign, message):
+        path = digraph_file(CHAIN2)
+        code, out, err = run("eval", "--digraph", path, "--assign", assign, stdin="( x1 in x2 )")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_vertex_past_the_digraph_is_invalid(self, run, digraph_file):
+        path = digraph_file(CHAIN2)
+        code, out, err = run("eval", "--digraph", path, "--assign", "x1=9", stdin="( x1 = x1 )")
+        assert (code, out) == (1, "") and err.startswith("invalid: vertex 9 is outside [1, 2]")
+
+    def test_empty_assignment_item_is_skipped(self, run, digraph_file):
+        path = digraph_file(CHAIN2)
+        code, out, _ = run("eval", "--digraph", path, "--assign", "x1=1,,x2=2", stdin="( x1 in x2 )")
+        assert (code, out.strip()) == (0, "eval true")
+
     def test_variable_bound_twice_is_usage_error(self, run, digraph_file):
         path = digraph_file(CHAIN2)
         code, out, err = run(

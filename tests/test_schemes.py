@@ -40,7 +40,7 @@ from zfcantor.schemes import (
     parse_scheme_text,
     validate_scheme,
 )
-from zfcantor.symbols import LPAREN, SymbolKind, new_var, set_var
+from zfcantor.symbols import LPAREN, SymbolKind, new_var, predicate, set_var
 
 X, Y, Z = new_var("x"), new_var("y"), new_var("z")
 
@@ -153,6 +153,23 @@ class TestValidateScheme:
 
     def test_validate_scheme_is_the_constructor(self):
         assert validate_scheme is Scheme
+
+    def test_construction_refuses_a_repeated_name(self):
+        sc = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )")
+        with pytest.raises(SchemeError, match="^shortcut names must be distinct$"):
+            Scheme((sc, sc))
+
+    def test_construction_refuses_an_unknown_mode(self):
+        sc = shortcut("P", (X,), "( A x1 ( x1 in ?x ) )")
+        with pytest.raises(ValueError, match="^mode must be 'strict' or 'relaxed', got 'lax'$") as info:
+            Scheme((sc,), mode="lax")
+        assert type(info.value) is ValueError
+
+    def test_construction_refuses_an_undefined_predicate(self):
+        # a hand-built body may apply a predicate that no shortcut defines
+        body = shortcut("Q", (X,), "R ( ?x )", {"R": 1})
+        with pytest.raises(SchemeError, match="^Q: unknown predicate R in the body$"):
+            Scheme((body,))
 
 
 class TestExpand:
@@ -328,6 +345,11 @@ class TestInstantiate:
         with pytest.raises(UncoveredParameter):
             instantiate(e6, {X: set_var(1)})
 
+    def test_target_must_be_a_variable(self):
+        e1 = emit_expansions()[0].formula
+        with pytest.raises(SchemeError, match=r"^instantiation target Symbol\('P'\) is not a variable$"):
+            instantiate(e1, {X: predicate("P"), Y: set_var(1)})
+
     def test_a_quantified_target_is_refused(self):
         # ( A x1 ( ( x1 in ?x ) -> ( x1 in ?y ) ) ): x1 would capture ?x
         e1 = emit_expansions()[0].formula
@@ -410,6 +432,10 @@ class TestSchemeFiles:
             parse_scheme_text("EMP ( ?x ) ( A x1 ( x1 in ?x ) )")
         with pytest.raises(SchemeError):
             parse_scheme_text("EMP ( x1 ) := ( A x1 ( x1 in ?x ) )")
+
+    def test_a_token_after_the_header_is_refused(self):
+        with pytest.raises(SchemeError, match=r"^line 1: malformed shortcut header 'P \( \?x \) \?y'$"):
+            parse_scheme_text("P ( ?x ) ?y := ( A x1 ( x1 in ?x ) )")
 
     def test_roundtrip_of_builtin_scheme_as_text(self):
         lines = []

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from naive import naive_evaluate
 from strategies import digraphs, formula_text, sentence_text
+from zfcantor import semantics
 from zfcantor.analysis import DigraphAnalysis
 from zfcantor.cantor import emit_phi
 from zfcantor.digraphs import Digraph, SizeGuardExceeded, VertexOutOfRange, all_loops, edgeless
@@ -167,7 +170,8 @@ class TestTableGuard:
 
 
 def test_threads_share_the_plan_cache():
-    # More trees than the cache holds, so evictions race with lookups.
+    # Threads race on the first evaluations of 100 new trees: two may compile a tree's plan
+    # at once, and whichever plan the tree keeps must give the right value.
     d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
     texts = [f"( E x1 ( A x2 ( ( x1 in x2 ) | ( x2 = x{i % 5 + 1} ) ) ) )" for i in range(100)]
     env = {set_var(i): i % 3 + 1 for i in range(1, 6)}
@@ -228,7 +232,7 @@ def test_cache_does_not_change_values(d, text):
 
 
 def test_a_dropped_tree_never_lends_its_plan():
-    # Plans are cached by tree identity; a new tree may reuse a dropped one's id.
+    # Each tree keeps its own plan, so a new tree that reuses a dropped one's id compiles afresh.
     d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
     env = {set_var(i): i % 3 + 1 for i in range(1, 6)}
     texts = [f"( E x{i} ( x{i} in x{j} ) )" for i in range(1, 6) for j in range(1, 6)]
@@ -238,3 +242,36 @@ def test_a_dropped_tree_never_lends_its_plan():
         tree = parse_text(text)
         assert evaluate(d, tree, env) == naive_evaluate(d, tree, env), text
         del tree
+
+
+class TestPlanOnTheTree:
+    def test_evaluation_keeps_no_reference_to_the_tree(self):
+        d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
+        tree = parse_text("( E x1 ( A x2 ( ( x1 in x2 ) | ( x2 = x3 ) ) ) )")
+        env = {set_var(3): 2}
+        expected = naive_evaluate(d, tree, env)
+        before = sys.getrefcount(tree)
+        assert evaluate(d, tree, env) == expected
+        assert sys.getrefcount(tree) == before
+
+    def test_each_tree_compiles_once(self, monkeypatch):
+        # more trees than any bounded cache would hold, each evaluated on many digraphs
+        rng = random.Random(19)
+        graphs = [Digraph.from_masks(rng.randrange(16) for _ in range(4)) for _ in range(20)]
+        trees = [parse_text("! " * i + "( E x1 ( A x2 ( x2 in x1 ) ) )") for i in range(100)]
+        calls = []
+        compile_plan = semantics._compile
+        monkeypatch.setattr(semantics, "_compile", lambda tree: calls.append(tree) or compile_plan(tree))
+        values = [evaluate_sentence(graphs[k % 20], trees[k % 100]) for k in range(2000)]
+        assert len(calls) == 100
+        assert values == [naive_evaluate(graphs[k % 20], trees[k], {}) for k in range(100)] * 20
+
+    def test_a_copy_and_a_pickle_compile_their_own_plans(self):
+        tree = parse_text("( A x1 ( ( x1 in x2 ) -> ( E x3 ( ( x3 in x1 ) & ! ( x3 = x2 ) ) ) ) )")
+        graphs, env = (edgeless(2), all_loops(2), Digraph(2, frozenset({(1, 2)}))), {X2: 2}
+        values = [evaluate(d, tree, env) for d in graphs]
+        for clone in (copy.copy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone is not tree and clone == tree
+            assert (hash(clone), repr(clone)) == (hash(tree), repr(tree))
+            assert [evaluate(d, clone, env) for d in graphs] == values
+            assert clone._plan == tree._plan and clone._plan is not tree._plan
