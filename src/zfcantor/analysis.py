@@ -16,7 +16,9 @@ lookups; a pair vertex determines its two components uniquely, so the
 table is well defined.  A digraph is strongly extensive exactly when
 its realized masks form a downset containing 0, and a set of masks is
 a downset when it is closed under removing one bit, so that check
-makes at most Σ|N(v)| lookups and enumerates no subsets.  The census
+makes at most Σ|N(v)| lookups and enumerates no subsets.  One reader,
+``relation``, walks a vertex's pairs with no ground in view, and REL,
+FUN, SUR and the Cantor search compare its masks with N(v).  The census
 feeds the kernel the mask tuples of its representatives, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
 ``Digraph``, built once per digraph as ``Digraph.analysis``, which the
@@ -140,16 +142,14 @@ def power_mask(masks, u: int) -> int:
     return power
 
 
-def read_relation(masks, pairs, f: int, d: int) -> tuple[bool, int] | None:
-    """Read vertex f as a relation from N(d) into the power set of d.
+def relation(masks, pairs, f: int) -> tuple[int, int, int, bool] | None:
+    """Read vertex f as a relation; None when some element is not an ordered pair.
 
-    None when some element of f is not an ordered pair (a, b) with a in
-    N(d) and b a subset of d.  Otherwise (is_function, seconds):
-    is_function says each element of N(d) is the first component of
-    exactly one element of f, and seconds masks the second components.
+    Otherwise (firsts, seconds, inner, single_valued): firsts and seconds
+    mask the two components, inner ORs the elements of the second
+    components, and single_valued says no first component repeats.
     """
-    md = masks[d - 1]
-    firsts = seconds = 0
+    firsts = seconds = inner = 0
     single_valued = True
     rest = masks[f - 1]
     while rest:
@@ -159,49 +159,47 @@ def read_relation(masks, pairs, f: int, d: int) -> tuple[bool, int] | None:
             return None
         a, b = pair
         a_bit = 1 << (a - 1)
-        if not a_bit & md or masks[b - 1] & ~md:
-            return None
         if a_bit & firsts:
             single_valued = False
         firsts |= a_bit
         seconds |= 1 << (b - 1)
+        inner |= masks[b - 1]
         rest ^= low
-    return single_valued and firsts == md, seconds
-
-
-def surjects(masks, pairs, f: int, d: int) -> bool:
-    """Vertex f is a function from N(d) onto the power set of d."""
-    read = read_relation(masks, pairs, f, d)
-    return read is not None and read[0] and not power_mask(masks, d) & ~read[1]
+    return firsts, seconds, inner, single_valued
 
 
 def find_surjection(masks, pairs) -> tuple[int, int] | None:
     """The first (u, v), u outer and v inner, with v a surjection from u onto its power set.
 
-    A surjection has only pair vertices as elements, at least one, and
-    their first components are exactly N(u).  Such vertices are indexed
-    by that mask of first components, and each u is tried only against
-    the vertices filed under N(u).
+    A function from N(u) has only pair vertices as elements, first
+    components exactly N(u), and second components whose elements lie in
+    N(u).  One pass files each single-valued such relation under its
+    firsts, with its seconds.  Each ground mask pops its file once, since
+    the power set depends on u only through N(u); a candidate whose
+    seconds lack u is skipped, as u lies in its own power set, so the
+    power set is computed at most once per ground.
     """
     if not pairs:
         return None
     pair_bits = 0
     for p in pairs:
         pair_bits |= 1 << (p - 1)
-    by_firsts: dict[int, list[int]] = {}
+    by_firsts: dict[int, list[tuple[int, int]]] = {}
     for v, m in enumerate(masks, 1):
         if m and not m & ~pair_bits:
-            firsts = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                firsts |= 1 << (pairs[low.bit_length()][0] - 1)
-                rest ^= low
-            by_firsts.setdefault(firsts, []).append(v)
+            firsts, seconds, inner, single_valued = relation(masks, pairs, v)
+            if single_valued and not inner & ~firsts:
+                by_firsts.setdefault(firsts, []).append((v, seconds))
     for u, m in enumerate(masks, 1):
-        for v in by_firsts.get(m, ()):
-            if surjects(masks, pairs, v, u):
-                return (u, v)
+        if m not in by_firsts:
+            continue
+        u_bit = 1 << (u - 1)
+        power = 0
+        for v, seconds in by_firsts.pop(m):
+            if seconds & u_bit:
+                power = power or power_mask(masks, u)
+                if not power & ~seconds:
+                    return (u, v)
     return None
 
 
@@ -275,14 +273,15 @@ class DigraphAnalysis:
         return self._pairs.get(u) == (v, w)
 
     def rel(self, u: int, v: int) -> bool:
-        return read_relation(self.masks, self._pairs, u, v) is not None
+        read = relation(self.masks, self._pairs, u)
+        return read is not None and not (read[0] | read[2]) & ~self.masks[v - 1]
 
     def fun(self, u: int, v: int) -> bool:
-        read = read_relation(self.masks, self._pairs, u, v)
-        return read is not None and read[0]
+        read = relation(self.masks, self._pairs, u)
+        return read is not None and read[3] and read[0] == self.masks[v - 1] and not read[2] & ~read[0]
 
     def sur(self, u: int, v: int) -> bool:
-        return surjects(self.masks, self._pairs, u, v)
+        return self.fun(u, v) and not power_mask(self.masks, v) & ~relation(self.masks, self._pairs, u)[1]
 
     # -- derived operations --------------------------------------------------
 

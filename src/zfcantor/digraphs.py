@@ -23,6 +23,11 @@ from .records import InvalidInput, Record, uncommented_lines
 # Most vertices of a digraph: checks allocate per-vertex tables.
 MAX_VERTICES = 2**22
 
+# Most bits that the masks of one digraph hold together.  A mask is an int
+# as long as its highest tail, so the tails of an n-vertex digraph are
+# capped at MAX_MASK_BITS // n; a dense digraph on 2^15 vertices fits.
+MAX_MASK_BITS = 2**30
+
 
 class DigraphError(InvalidInput):
     pass
@@ -42,6 +47,20 @@ class SizeGuardExceeded(InvalidInput):
 
 class DuplicateArrowWarning(UserWarning):
     pass
+
+
+def _top_tail(n: int) -> int:
+    """The highest tail that keeps n masks within MAX_MASK_BITS."""
+    return min(n, MAX_MASK_BITS // n)
+
+
+def _check_tail(u: int, v: int, n: int, where: str = "") -> None:
+    """Refuse an arrow inside [1, n] whose tail passes _top_tail(n)."""
+    if 1 <= u <= n and 1 <= v <= n:
+        raise SizeGuardExceeded(
+            f"{where}tail {u} exceeds {MAX_MASK_BITS // n}, the most that keeps"
+            f" the masks of {n} vertices within {MAX_MASK_BITS} bits"
+        )
 
 
 def _check_size(n: int) -> None:
@@ -67,8 +86,10 @@ class Digraph(Record):
     def __init__(self, n: int, arrows: Iterable[tuple[int, int]]):
         _check_size(n)
         masks = [0] * n
+        top = _top_tail(n)
         for u, v in arrows:
-            if not (1 <= u <= n and 1 <= v <= n):
+            if not (1 <= u <= top and 1 <= v <= n):
+                _check_tail(u, v, n)
                 raise VertexOutOfRange(f"arrow ({u}, {v}) leaves the vertex range [1, {n}]")
             masks[v - 1] |= 1 << (u - 1)
         _n(self, n)
@@ -179,6 +200,7 @@ def load_digraph(text: str) -> Digraph:
     else:
         raise BadHeader("missing `vertices <n>` header")
     masks = [0] * n
+    top = _top_tail(n)
     for lineno, fields in rows:
         if len(fields) != 2:
             if not fields:
@@ -189,7 +211,8 @@ def load_digraph(text: str) -> Digraph:
             v = int(fields[1])
         except ValueError:
             raise DigraphError(f"line {lineno}: arrow endpoints must be integers")
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (1 <= u <= top and 1 <= v <= n):
+            _check_tail(u, v, n, f"line {lineno}: ")
             raise VertexOutOfRange(f"line {lineno}: arrow ({u}, {v}) leaves [1, {n}]")
         bit = 1 << (u - 1)
         if masks[v - 1] & bit:

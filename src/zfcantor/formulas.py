@@ -297,11 +297,12 @@ _LPAREN, _NEGATION, _SET_VAR = SymbolKind.LPAREN, SymbolKind.NEGATION, SymbolKin
 MAX_DEPTH = 200
 
 
-def _normalize_signatures(signatures) -> dict[str, int]:
+def _normalize_signatures(signatures) -> Mapping[str, int]:
     if signatures is None:
         return {}
     if isinstance(signatures, Mapping):
-        return dict(signatures)
+        # only read, so a scheme reader passing its growing map pays no copy per line
+        return signatures
     return {sig.name: sig.arity for sig in signatures}
 
 
@@ -333,7 +334,7 @@ def _bad_atom(word: Word, pos: int) -> None:
     _expect(word, pos + 4, RPAREN)
 
 
-def _predicate_atom(word: Word, pos: int, signatures: dict[str, int]) -> PredicateAtom:
+def _predicate_atom(word: Word, pos: int, signatures: Mapping[str, int]) -> PredicateAtom:
     name = word[pos - 1].name
     if name not in signatures:
         raise UnknownPredicate(pos, f"predicate {name!r} is not in the signature set")

@@ -153,17 +153,13 @@ class Scheme(Record):
             r_sets.append(frozenset(refs))
             v_sets.append(frozenset(var.index for var, _, _ in sites if var.kind is SymbolKind.SET_VAR))
 
-        for i in range(len(shortcuts)):
-            for j in range(i + 1, len(shortcuts)):
-                if mode == "strict":
-                    ok = _precedes(v_sets[i], v_sets[j])
-                else:
-                    ok = not (v_sets[i] & v_sets[j])
-                if not ok:
-                    raise VariableClash(
-                        f"set-variable index sets of {names[i]} and {names[j]} violate"
-                        f" the {mode} ordering: {sorted(v_sets[i])} vs {sorted(v_sets[j])}"
-                    )
+        clash = _first_clash(v_sets, mode)
+        if clash is not None:
+            i, j = clash
+            raise VariableClash(
+                f"set-variable index sets of {names[i]} and {names[j]} violate"
+                f" the {mode} ordering: {sorted(v_sets[i])} vs {sorted(v_sets[j])}"
+            )
 
         init = object.__setattr__
         init(self, "shortcuts", shortcuts)
@@ -190,9 +186,31 @@ def _check_params(name: str, params: tuple[Symbol, ...]) -> None:
     raise BadParameterList(f"{name}: parameters must be {indexed}" + (f" or {letters}" if k <= 3 else ""))
 
 
-def _precedes(a: frozenset[int], b: frozenset[int]) -> bool:
-    # A < B: every element of A below every element of B; holds vacuously.
-    return not a or not b or max(a) < min(b)
+def _first_clash(v_sets, mode: str) -> tuple[int, int] | None:
+    """The first pair i < j, by i and then by j, whose index sets break the ordering.
+
+    Strict mode asks max(v_i) < min(v_j) and relaxed mode disjointness,
+    both holding vacuously for an empty set.  So v_i clashes with some
+    later set exactly when it clashes with their union, or in strict mode
+    with its least element; one pass from the right finds the first such
+    i, and a pass from i finds its j.
+    """
+    strict = mode == "strict"
+
+    def clash(a, b) -> bool:
+        return bool(a and b) and (min(b) <= max(a) if strict else not a.isdisjoint(b))
+
+    first = None
+    later: set[int] = set()
+    for i in range(len(v_sets) - 1, -1, -1):
+        if clash(v_sets[i], later):
+            first = i
+        later |= v_sets[i]
+        if strict and later:
+            later = {min(later)}
+    if first is None:
+        return None
+    return first, next(j for j in range(first + 1, len(v_sets)) if clash(v_sets[first], v_sets[j]))
 
 
 # Validating shortcuts is building their Scheme.

@@ -12,7 +12,8 @@ oracle for the census's weighted representatives and its relabeled
 witness list; ``enumerate_digraphs`` yields the digraphs of the same
 counters.  ``naive_expand`` and ``naive_instantiate`` are the word path
 of scheme expansion (render, rename and splice by the substitution
-operations, parse again), the oracle for the package's tree splice.
+operations, parse again), the oracle for the package's tree splice;
+``naive_variable_clash`` tries the scheme ordering pair by pair.
 """
 from __future__ import annotations
 
@@ -428,6 +429,24 @@ def naive_parse(word, signatures: dict[str, int] | None = None):
 
 # ---------------------------------------------------------------------------
 # Scheme expansion on words: render, rename, splice, parse again
+
+
+def naive_variable_clash(names, v_sets, mode: str) -> str | None:
+    """The VariableClash message of the first pair i < j, by i and then j, that
+    breaks the mode's ordering, tried pair by pair; None when no pair does."""
+    for i in range(len(v_sets)):
+        for j in range(i + 1, len(v_sets)):
+            a, b = v_sets[i], v_sets[j]
+            if mode == "strict":
+                ok = not a or not b or max(a) < min(b)
+            else:
+                ok = not (a & b)
+            if not ok:
+                return (
+                    f"set-variable index sets of {names[i]} and {names[j]} violate"
+                    f" the {mode} ordering: {sorted(a)} vs {sorted(b)}"
+                )
+    return None
 
 
 def _binder_indices(tree) -> frozenset[int]:

@@ -89,6 +89,21 @@ def digraphs(max_n: int = 3):
     return st.integers(1, max_n).flatmap(build)
 
 
+@st.composite
+def repeated_masks(draw, max_n: int = 8):
+    """The masks of a digraph on up to max_n vertices, drawn so that masks repeat.
+
+    Each vertex takes a mask from a pool of up to three, a singleton
+    mask, or any mask, so grounds share in-neighborhoods and pair
+    vertices are common.
+    """
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(masks, min_size=1, max_size=3))
+    choice = st.one_of(st.sampled_from(pool), masks, st.sampled_from([1 << k for k in range(n)]))
+    return tuple(draw(st.lists(choice, min_size=n, max_size=n)))
+
+
 LETTERS = st.sampled_from(list("abcdef"))
 
 

@@ -5,7 +5,9 @@ import time
 import weakref
 from itertools import product
 
+import hypothesis
 import pytest
+from hypothesis import given
 
 from naive import (
     naive_dump_digraph,
@@ -16,7 +18,8 @@ from naive import (
     naive_predicate,
     naive_sur,
 )
-from zfcantor import formulas
+from strategies import repeated_masks
+from zfcantor import analysis, formulas
 from zfcantor.analysis import (
     DigraphAnalysis,
     NotASurjection,
@@ -246,6 +249,105 @@ def test_kernel_matches_naive_oracle_beyond_n5():
         with_pairs += any(ctx.resolve_opa(u) for u in d.vertices)
         non_cantor += first is not None
     assert with_pairs >= 80 and non_cantor >= 20, (with_pairs, non_cantor)
+
+
+def repeated_grounds(k, l):
+    """x, z, {x}, {z}; for i = 1..l: y_i = ∅, {x, y_i}, {z, y_i}, the pairs
+    (x, y_i) and (z, y_i) and v_i = {both pairs}; then k vertices with N = {x, z}.
+
+    Every v_i is a function from N = {x, z}, so all l are filed under
+    the one ground mask that the last k vertices share.
+    """
+    x, z, sx, sz = 1, 2, 3, 4
+    arrows = [(x, sx), (z, sz)]
+    n = 4
+    for _ in range(l):
+        y, dx, dz, px, pz, v = range(n + 1, n + 7)
+        arrows += [(x, dx), (y, dx), (z, dz), (y, dz), (sx, px), (dx, px)]
+        arrows += [(sz, pz), (dz, pz), (px, v), (pz, v)]
+        n += 6
+    arrows += [(w, g) for g in range(n + 1, n + k + 1) for w in (x, z)]
+    return Digraph(n + k, arrows)
+
+
+def distinct_grounds(l):
+    """y = ∅; for i = 1..l: x_i = ∅, {x_i}, {x_i, y}, the pair (x_i, y) and v_i = {that pair}.
+
+    Each v_i is a function from N({x_i}), so each of the l grounds {x_i}
+    has one candidate.
+    """
+    y = 1
+    arrows = []
+    n = 1
+    for _ in range(l):
+        x, sx, d, p, v = range(n + 1, n + 6)
+        arrows += [(x, sx), (x, d), (y, d), (sx, p), (d, p), (p, v)]
+        n += 5
+    return Digraph(n, arrows)
+
+
+def shared_ground_values(k):
+    """x, z, {x}, {z}; k grounds g_i with N = {x, z}; {x, g_1}, {z, g_2}, the pairs
+    (x, g_1) and (z, g_2), and f = {both pairs}, a function from N = {x, z}
+    whose values are the first two grounds.
+    """
+    x, z, sx, sz = 1, 2, 3, 4
+    g1, g2 = 5, 6
+    dx, dz, px, pz, f = range(k + 5, k + 10)
+    arrows = [(x, sx), (z, sz), (x, dx), (g1, dx), (z, dz), (g2, dz)]
+    arrows += [(sx, px), (dx, px), (sz, pz), (dz, pz), (px, f), (pz, f)]
+    arrows += [(w, g) for g in range(5, k + 5) for w in (x, z)]
+    return Digraph(k + 9, arrows)
+
+
+def naive_first_surjection(d):
+    """The loop of naive_is_cantor, stopped at the first (u, v), u outer."""
+    memo = {}
+    return next(((u, v) for u in d.vertices for v in d.vertices if naive_sur(d, v, u, memo)), None)
+
+
+def counting_power_mask(grounds):
+    """analysis.power_mask, appending the ground mask of each call to grounds."""
+
+    def counted(masks, u, _fn=analysis.power_mask):
+        grounds.append(masks[u - 1])
+        return _fn(masks, u)
+
+    return counted
+
+
+class TestCantorSearch:
+    @pytest.mark.parametrize(
+        "d, expected",
+        # repeated: no candidate has a ground among its values; shared: f has the
+        # first two grounds, and only the first reads the power set of N = {x, z}
+        [(repeated_grounds(20, 20), []), (shared_ground_values(20), [0b11])],
+        ids=["repeated", "shared"],
+    )
+    def test_each_ground_mask_reads_its_power_set_at_most_once(self, monkeypatch, d, expected):
+        grounds = []
+        monkeypatch.setattr(analysis, "power_mask", counting_power_mask(grounds))
+        assert is_cantor(d)
+        assert grounds == expected, len(grounds)
+
+    @pytest.mark.parametrize(
+        "d",
+        [repeated_grounds(1, 1), repeated_grounds(2, 1), distinct_grounds(1), distinct_grounds(2), shared_ground_values(2)],
+        ids=["repeated-1-1", "repeated-2-1", "distinct-1", "distinct-2", "shared-2"],
+    )
+    def test_families_match_naive_oracle(self, d):
+        assert DigraphAnalysis(d).cantor_witness() == naive_first_surjection(d)
+
+    @hypothesis.seed(20)
+    @given(repeated_masks())
+    def test_repeated_masks_match_naive_oracle(self, masks):
+        grounds = []
+        d = Digraph.from_masks(masks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "power_mask", counting_power_mask(grounds))
+            witness = DigraphAnalysis(d).cantor_witness()
+        assert witness == naive_first_surjection(d)
+        assert len(grounds) == len(set(grounds))
 
 
 class TestOneAnalysisPerDigraph:

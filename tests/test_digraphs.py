@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zfcantor import digraphs
 from zfcantor.digraphs import (
     MAX_VERTICES,
     BadHeader,
@@ -121,6 +122,40 @@ class TestLoaderInput:
     def test_header_only(self):
         d = load_digraph("vertices 4")
         assert (d.n, d.arrows, d.masks) == (4, frozenset(), (0, 0, 0, 0))
+
+
+class TestMaskBitBound:
+    """With 16 mask bits, 8 vertices admit tails up to 2 and 4 vertices any tail."""
+
+    @pytest.fixture(autouse=True)
+    def sixteen_bits(self, monkeypatch):
+        monkeypatch.setattr(digraphs, "MAX_MASK_BITS", 16)
+
+    def test_loader_admits_tails_up_to_the_cap(self):
+        d = load_digraph("vertices 8\n2 8\n1 1\n")
+        assert d.masks == (1, 0, 0, 0, 0, 0, 0, 0b10)
+
+    def test_loader_refuses_the_first_tail_past_the_cap(self):
+        err = load_error("vertices 8\n2 8\n# c\n3 1\n9 1\n")
+        assert type(err) is SizeGuardExceeded
+        assert str(err) == "line 4: tail 3 exceeds 2, the most that keeps the masks of 8 vertices within 16 bits"
+
+    def test_loader_range_errors_stay_range_errors(self):
+        err = load_error("vertices 8\n9 1\n3 1\n")
+        assert type(err) is VertexOutOfRange
+        assert str(err) == "line 2: arrow (9, 1) leaves [1, 8]"
+
+    def test_no_cap_while_n_squared_fits(self):
+        d = load_digraph("vertices 4\n4 4\n")
+        assert Digraph(4, [(4, 4)]) == d and d.masks == (0, 0, 0, 0b1000)
+
+    def test_constructor_refuses_a_tail_past_the_cap(self):
+        assert Digraph(8, [(2, 8)]).masks[7] == 0b10
+        with pytest.raises(SizeGuardExceeded) as info:
+            Digraph(8, [(2, 8), (3, 1)])
+        assert str(info.value) == "tail 3 exceeds 2, the most that keeps the masks of 8 vertices within 16 bits"
+        with pytest.raises(VertexOutOfRange, match=r"^arrow \(3, 9\) leaves the vertex range \[1, 8\]$"):
+            Digraph(8, [(3, 9)])
 
 
 class TestDigraph:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from naive import naive_expand, naive_instantiate
+from naive import naive_expand, naive_instantiate, naive_variable_clash
 from strategies import NO_SHRINK, scheme_lines
 from zfcantor import schemes
 from zfcantor.cantor import builtin_scheme, emit_expansions
@@ -54,6 +54,28 @@ def doubling_scheme(lines):
     text = ["P1 ( ?x ) := ( A x1 ( x1 in ?x ) )"]
     text += [f"P{k} ( ?x ) := ( P{k - 1} ( ?x ) & P{k - 1} ( ?x ) )" for k in range(2, lines + 1)]
     return "\n".join(text) + "\n"
+
+
+def quantifying_shortcut(name, indices):
+    """A one-parameter shortcut whose body quantifies the set variables x<i>, i in indices."""
+    body = "( ?x = ?x )"
+    for i in sorted(indices):
+        body = f"( A x{i} ( ( x{i} in ?x ) & {body} ) )"
+    return shortcut(name, (X,), body)
+
+
+@st.composite
+def index_set_lists(draw):
+    """Lists of up to 8 set-variable index sets, most of them in strict order.
+
+    Set k draws from 1..4 and is shifted by 4k, or, one time in four, by
+    4 times a random place, so lists break each ordering at varying pairs.
+    """
+    v_sets = []
+    for k in range(draw(st.integers(0, 8))):
+        place = k if draw(st.integers(0, 3)) else draw(st.integers(0, 7))
+        v_sets.append(frozenset(4 * place + i for i in draw(st.frozensets(st.integers(1, 4), max_size=3))))
+    return v_sets
 
 
 # 150 negations in each body: P2's expansion nests 301 deep, past MAX_DEPTH
@@ -102,6 +124,26 @@ class TestValidateScheme:
             validate_scheme([first, second], "strict")
         scheme = validate_scheme([first, second], "relaxed")
         assert scheme.mode == "relaxed"
+
+    @seed(4207)
+    @given(index_set_lists(), st.sampled_from(["strict", "relaxed"]))
+    def test_ordering_matches_the_pairwise_rule(self, v_sets, mode):
+        names = [f"P{k}" for k in range(1, len(v_sets) + 1)]
+        lines = [quantifying_shortcut(name, indices) for name, indices in zip(names, v_sets)]
+        expected = naive_variable_clash(names, v_sets, mode)
+        if expected is None:
+            assert Scheme(lines, mode).v_sets == tuple(v_sets)
+        else:
+            with pytest.raises(VariableClash) as info:
+                Scheme(lines, mode)
+            assert str(info.value) == expected
+
+    def test_seven_thousand_shortcuts_validate_at_once(self):
+        text = "".join(f"P{i} ( ?x ) := ( A x{i} ( x{i} in ?x ) )\n" for i in range(1, 7001))
+        start = time.perf_counter()
+        scheme = parse_scheme_text(text)
+        assert time.perf_counter() - start < 2
+        assert len(scheme.shortcuts) == 7000
 
     def test_free_set_variable_rejected(self):
         with pytest.raises(FreeSetVariable):

@@ -169,7 +169,7 @@ class TestTableGuard:
         assert evaluate(edgeless(MAX_TABLE_CELLS + 1), parse_text("( x1 = x2 )"), {X1: 1, X2: 1}) is True
 
 
-def test_threads_share_the_plan_cache():
+def test_threads_racing_a_first_evaluation_agree():
     # Threads race on the first evaluations of 100 new trees: two may compile a tree's plan
     # at once, and whichever plan the tree keeps must give the right value.
     d = Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)}))
@@ -224,7 +224,7 @@ def test_quantifier_duality(d, text, index):
 @example(Digraph(2, frozenset({(1, 1)})), "( A x2 ( x1 in x1 ) )")  # vacuous quantifier
 @example(Digraph(2, frozenset({(1, 1)})), "( x1 in x2 )")  # bare atom
 @example(Digraph(2, frozenset({(1, 1)})), "( x1 = x1 )")
-def test_cache_does_not_change_values(d, text):
+def test_plans_do_not_change_values(d, text):
     tree = parse_text(text)
     env = {set_var(i): 1 for i in range(1, 6)}
     expected = naive_evaluate(d, tree, env)
