@@ -9,17 +9,28 @@ containment is non-strict throughout, so every vertex is a subset of
 itself.
 
 All checks run on one bitmask kernel over the in-neighborhood masks
-that a ``Digraph`` holds as ``Digraph.masks``.  Vertices are looked up
-by their mask.  The ordered-pair table reads the realized masks of one
-or two bits, the only ones that can be doubletons, so it takes O(n)
-lookups; a pair vertex determines its two components uniquely, so the
-table is well defined.  A digraph is strongly extensive exactly when
-its realized masks form a downset containing 0, and a set of masks is
-a downset when it is closed under removing one bit, so that check
-makes at most Σ|N(v)| lookups and enumerates no subsets.  One reader,
-``relation``, walks a vertex's pairs with no ground in view, and REL,
-FUN, SUR and the Cantor search compare its masks with N(v).  The census
-feeds the kernel the mask tuples of its representatives, and
+that a ``Digraph`` holds as ``Digraph.masks``, looking vertices up by
+their mask.  The ordered-pair table reads the realized masks of one or
+two bits, the only ones that can be doubletons, in O(n) lookups; a pair
+vertex determines its two components, so the table is well defined.
+A digraph is strongly extensive exactly when its realized masks form a
+downset containing 0, that is, are closed under removing one bit, so
+that check makes at most Σ|N(v)| lookups.  One reader, ``relation``,
+walks a vertex's pairs, and REL, FUN and SUR compare its masks with N(v).
+
+The Cantor search reads neither, by a lemma: a vertex f is a surjection
+from some u onto its power set P(u) exactly when no vertex is empty, u
+is the only vertex with N(u) = {a} for some a, the pair p = (a, u)
+exists, and N(f) = {p}.  For each a in N(u), f has an element (a, ·),
+whose element s_a, the singleton of a, lies in P(u).  If |N(u)| >= 2,
+then u and the s_a are |N(u)| + 1 members of P(u) for |N(u)| values; if
+N(u) is empty, f has no value for u.  So N(u) = {a} and u = s_a, or u
+and s_a would share f's one value.  Then P(u) = {u} and f = {(a, u)},
+exactly when no vertex is empty, as an empty vertex lies in every power
+set.  So a digraph with an empty vertex is Cantor, and so is a
+strongly extensive one.
+
+The census feeds the kernel the mask tuples of its representatives, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
 ``Digraph``, built once per digraph as ``Digraph.analysis``, which the
 module-level ``is_cantor``, ``cantor_witness`` and ``extract_surjection``
@@ -35,6 +46,8 @@ call, so the census and the semantic verdict never load it.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
 from .records import InvalidInput, Record
 
@@ -45,10 +58,6 @@ OMEGA_MAX_LEVELS = 4
 
 class AnalysisError(InvalidInput):
     pass
-
-
-class AmbiguousPair(RuntimeError):
-    """Two component pairs resolved for one vertex; internally inconsistent."""
 
 
 class NotASurjection(AnalysisError):
@@ -106,7 +115,8 @@ def pair_table(the: dict[int, int]) -> dict[int, tuple[int, int]]:
     The pair of a and b is the unique vertex whose elements are the
     singleton of a and the doubleton of a and b.  Only a realized mask
     of one or two bits is a doubleton: {a, b} is the doubleton of a and
-    b and of b and a, and {a} is the doubleton of a and a.
+    b and of b and a, and {a} is the doubleton of a and a.  A pair's one
+    element of in-degree 1 is the singleton of a, so (a, b) is unique.
     """
     pairs: dict[int, tuple[int, int]] = {}
     get = the.get
@@ -123,10 +133,7 @@ def pair_table(the: dict[int, int]) -> dict[int, tuple[int, int]]:
             p = get(1 << (s - 1) | d_bit)
             if p is None:
                 continue
-            ab = (a_bit.bit_length(), b_bit.bit_length())
-            if p in pairs:
-                raise AmbiguousPair(f"vertex {p} resolves to {pairs[p]} and {ab}")
-            pairs[p] = ab
+            pairs[p] = (a_bit.bit_length(), b_bit.bit_length())
     return pairs
 
 
@@ -168,38 +175,29 @@ def relation(masks, pairs, f: int) -> tuple[int, int, int, bool] | None:
     return firsts, seconds, inner, single_valued
 
 
-def find_surjection(masks, pairs) -> tuple[int, int] | None:
-    """The first (u, v), u outer and v inner, with v a surjection from u onto its power set.
+def find_surjection(masks, the: dict[int, int]) -> tuple[int, int] | None:
+    """The first (u, f), u outer and f inner, with f a surjection from u onto its power set.
 
-    A function from N(u) has only pair vertices as elements, first
-    components exactly N(u), and second components whose elements lie in
-    N(u).  One pass files each single-valued such relation under its
-    firsts, with its seconds.  Each ground mask pops its file once, since
-    the power set depends on u only through N(u); a candidate whose
-    seconds lack u is skipped, as u lies in its own power set, so the
-    power set is computed at most once per ground.
+    The module docstring's lemma: u = {a}, so the doubleton d of a and u
+    has the mask N(u) | {u}, the pair p = (a, u) the mask {u, d}, and f
+    is the least vertex with the mask {p}.
     """
-    if not pairs:
+    if 0 in masks:
         return None
-    pair_bits = 0
-    for p in pairs:
-        pair_bits |= 1 << (p - 1)
-    by_firsts: dict[int, list[tuple[int, int]]] = {}
-    for v, m in enumerate(masks, 1):
-        if m and not m & ~pair_bits:
-            firsts, seconds, inner, single_valued = relation(masks, pairs, v)
-            if single_valued and not inner & ~firsts:
-                by_firsts.setdefault(firsts, []).append((v, seconds))
-    for u, m in enumerate(masks, 1):
-        if m not in by_firsts:
+    first = None  # the least vertex of each mask, built for the first pair p found
+    get = the.get
+    for m, u in the.items():
+        if m & (m - 1):
             continue
         u_bit = 1 << (u - 1)
-        power = 0
-        for v, seconds in by_firsts.pop(m):
-            if seconds & u_bit:
-                power = power or power_mask(masks, u)
-                if not power & ~seconds:
-                    return (u, v)
+        d = get(m | u_bit)
+        p = d and get(1 << (d - 1) | u_bit)
+        if p is None:
+            continue
+        first = first or dict(zip(reversed(masks), range(len(masks), 0, -1)))
+        f = first.get(1 << (p - 1))
+        if f is not None:
+            return u, f
     return None
 
 
@@ -237,18 +235,26 @@ _predicate_side = None
 class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
-    Reads ``Digraph.masks`` and builds the unique-vertex map and the
-    ordered-pair table once; the predicate methods are lookups into them,
-    and the Cantor scan runs at most once.  It keeps no reference to the
-    digraph, so the one that ``Digraph.analysis`` caches makes no cycle.
+    Reads ``Digraph.masks`` and builds the unique-vertex map at once; the
+    ordered-pair table, which only OPA, REL, FUN, SUR and the witness
+    extraction read, and the Cantor search are each built at most once,
+    on first use, so a bare verdict builds no pair table.  It keeps no
+    reference to the digraph, so the one that ``Digraph.analysis``
+    caches makes no cycle.
     """
 
     def __init__(self, digraph: Digraph):
         self.n = digraph.n
         self.masks = digraph.masks
         self._the = unique_vertices(self.masks)
-        self._pairs = pair_table(self._the)
-        self._unscanned = True
+
+    @cached_property
+    def _pairs(self) -> dict[int, tuple[int, int]]:
+        return pair_table(self._the)
+
+    @cached_property
+    def _witness(self) -> tuple[int, int] | None:
+        return find_surjection(self.masks, self._the)
 
     check_vertex = Digraph.check_vertex  # reads only self.n
 
@@ -329,9 +335,6 @@ class DigraphAnalysis:
 
     def cantor_witness(self) -> tuple[int, int] | None:
         """A pair (u, v) with v a surjection from u onto its power set, if any."""
-        if self._unscanned:
-            self._witness = find_surjection(self.masks, self._pairs)
-            self._unscanned = False
         return self._witness
 
     def is_cantor(self) -> bool:
@@ -353,8 +356,8 @@ _sentence_side = None
 def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     """No vertex surjects onto any vertex's power set.
 
-    The semantic method scans all vertex pairs with the predicate
-    implementation; the sentence method evaluates the 494-symbol Cantor
+    The semantic method is the lemma's gadget search, which builds no
+    pair table; the sentence method evaluates the 494-symbol Cantor
     sentence, whose 5-axis truth tables fit semantics.MAX_TABLE_CELLS up
     to 16 vertices, and raises SizeGuardExceeded above.  The two agree
     on every digraph.

@@ -10,12 +10,11 @@ any other arrangement, so each representative stands for n! / prod(m!)
 labeled digraphs, m running over the multiplicities of its pairs.  The
 weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
 raised.  Work splits into one task per in-degree sequence and first
-mask; the result does not depend on the number of jobs.  A task whose
-in-degrees include no 1 has no singleton vertex, hence no ordered pair
-and no surjection onto a power set, so its representatives are counted
-Cantor without a scan.  The size bound is n <= 5 (``HARD_MAX_N``):
-n = 6 has 96,928,992 digraphs even up to relabeling, out of reach of
-this pass.
+mask; the result does not depend on the number of jobs.  By the lemma
+in ``analysis``, a task whose in-degrees include no 1, or a 0, has only
+Cantor representatives, so it is not searched.  The size bound is n <= 5
+(``HARD_MAX_N``): n = 6 has 96,928,992 digraphs even up to relabeling,
+out of reach of this pass.
 
 The strongly extensive count is not scanned for at all: it is the
 closed form ``strongly_extensive_count``, a sum over downsets of
@@ -39,7 +38,7 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 from typing import Iterator
 
-from .analysis import find_surjection, pair_table, unique_vertices
+from .analysis import find_surjection, unique_vertices
 from .digraphs import Digraph, SizeGuardExceeded, transpose
 from .records import Record
 
@@ -124,12 +123,9 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, li
     grouped by their partial sum, and a prefix of k masks is dropped as
     soon as n-k more masks cannot repair a tie.
 
-    The in-degrees alone can settle the Cantor scan.  An ordered-pair
-    vertex has a singleton vertex as an element, and a singleton vertex
-    is one of in-degree 1; a surjection onto a power set has pair
-    vertices as its elements.  So when no in-degree is 1 every
-    representative is Cantor, and a group keeps only its size, which is
-    all that its weight needs.
+    A surjection onto a power set needs a vertex of in-degree 1 and none
+    of in-degree 0, so otherwise every representative is Cantor, and a
+    group keeps only its size, which is all that its weight needs.
     """
     n, degrees, first = task
     by_degree, spread = _tables(n)
@@ -138,7 +134,7 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, li
         if degrees[i] == degrees[i + 1]:
             lo |= 7 << 4 * i
             guard |= 8 << 4 * i
-    scan = 1 in degrees  # else no singleton vertex, so no pair vertex and no surjection
+    scan = 1 in degrees and 0 not in degrees  # else no singleton vertex, or an empty one
     groups = {spread[first]: [(first,)] if scan else 1}
     for k, d in enumerate(degrees[1:], 2):
         slack = (n - k) * (guard >> 3)
@@ -159,7 +155,7 @@ def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, li
     non_cantor: list[tuple[int, ...]] = []
     for s, group in groups.items():
         weight = _weight(n, degrees, s)
-        found = [m for m in group if find_surjection(m, pair_table(unique_vertices(m))) is not None]
+        found = [m for m in group if find_surjection(m, unique_vertices(m)) is not None]
         total += weight * len(group)
         cantor += weight * (len(group) - len(found))
         non_cantor += found

@@ -124,7 +124,7 @@ class Digraph(Record):
 
     @cached_property
     def analysis(self) -> _analysis.DigraphAnalysis:
-        """The kernel's pair table and Cantor scan for this digraph, built on first use."""
+        """The kernel's tables and Cantor search for this digraph, built on first use."""
         return _analysis.DigraphAnalysis(self)
 
     @property

@@ -11,7 +11,11 @@ hypothesis.settings.load_profile("pkg")
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the calls to the pair-table build and the Cantor scan."""
+    """Counts of the calls to the pair-table build and the Cantor search.
+
+    One analysis runs the search at most once, a verdict or witness alone
+    builds no pair table, and a witness extraction builds it at most once.
+    """
     calls = {"pair_table": 0, "find_surjection": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(analysis, name)):

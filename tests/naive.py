@@ -6,12 +6,16 @@ package.  Used to compute expected values that the tests then freeze,
 and to cross-check the table-driven implementation and the truth-table
 evaluator on small digraphs.
 
-``counter_order_census`` is the exception: it runs the package's
-bitmask kernel on every counter, with no symmetry reduction, as the
-oracle for the census's weighted representatives and its relabeled
-witness list; ``enumerate_digraphs`` yields the digraphs of the same
-counters.  ``naive_expand`` and ``naive_instantiate`` are the word path
-of scheme expansion (render, rename and splice by the substitution
+``filing_surjection`` is the Cantor search that predates the gadget
+lemma in ``zfcantor.analysis``: it reads every vertex as a relation over
+the package's ordered-pair table and tries each function against the
+power set of its ground, so it owes nothing to the lemma.
+``counter_order_census`` runs it, with the package's strongly extensive
+check, on every counter, with no symmetry reduction, as the oracle for
+the census's weighted representatives and its relabeled witness list;
+``enumerate_digraphs`` yields the digraphs of the same counters.
+``naive_expand`` and ``naive_instantiate`` are the word path of scheme
+expansion (render, rename and splice by the substitution
 operations, parse again), the oracle for the package's tree splice;
 ``naive_variable_clash`` tries the scheme ordering pair by pair.
 """
@@ -23,10 +27,11 @@ from itertools import combinations
 from typing import Iterator
 
 from zfcantor.analysis import (
-    find_surjection,
     masks_strongly_extensive,
     omega_level_ranges,
     pair_table,
+    power_mask,
+    relation,
     unique_vertices,
 )
 from zfcantor import schemes
@@ -195,6 +200,39 @@ def naive_is_cantor(d: Digraph) -> bool:
     return not any(naive_sur(d, v, u, memo) for u in d.vertices for v in d.vertices)
 
 
+def filing_surjection(masks) -> tuple[int, int] | None:
+    """The first (u, v), u outer and v inner, with v a surjection from u onto its power set.
+
+    A function from N(u) has only pair vertices as elements, first
+    components exactly N(u), and second components whose elements lie in
+    N(u).  One pass files each single-valued such relation under its
+    firsts, with its seconds.  Each ground mask pops its file once, since
+    the power set depends on u only through N(u); a candidate whose
+    seconds lack u is skipped, as u lies in its own power set.
+    """
+    pairs = pair_table(unique_vertices(masks))
+    pair_bits = 0
+    for p in pairs:
+        pair_bits |= 1 << (p - 1)
+    by_firsts: dict[int, list[tuple[int, int]]] = {}
+    for v, m in enumerate(masks, 1):
+        if m and not m & ~pair_bits:
+            firsts, seconds, inner, single_valued = relation(masks, pairs, v)
+            if single_valued and not inner & ~firsts:
+                by_firsts.setdefault(firsts, []).append((v, seconds))
+    for u, m in enumerate(masks, 1):
+        if m not in by_firsts:
+            continue
+        u_bit = 1 << (u - 1)
+        power = 0
+        for v, seconds in by_firsts.pop(m):
+            if seconds & u_bit:
+                power = power or power_mask(masks, u)
+                if not power & ~seconds:
+                    return (u, v)
+    return None
+
+
 def naive_is_strongly_extensive(d: Digraph) -> bool:
     realized = {nbhd(d, t) for t in d.vertices}
     for u in d.vertices:
@@ -257,10 +295,9 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
 
 
 def kernel_verdicts(n: int, counter: int) -> tuple[bool, bool]:
-    """(strongly extensive, Cantor) for one counter, through the bitmask kernel."""
+    """(strongly extensive, Cantor) for one counter, by the filing search."""
     masks = digraph_from_counter(n, counter).masks
-    cantor = find_surjection(masks, pair_table(unique_vertices(masks))) is None
-    return masks_strongly_extensive(masks), cantor
+    return masks_strongly_extensive(masks), filing_surjection(masks) is None
 
 
 @lru_cache(maxsize=None)

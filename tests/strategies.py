@@ -104,6 +104,47 @@ def repeated_masks(draw, max_n: int = 8):
     return tuple(draw(st.lists(choice, min_size=n, max_size=n)))
 
 
+@st.composite
+def small_masks(draw, max_n: int = 8):
+    """The masks of a digraph on up to max_n vertices, biased to 0 to 2 bits.
+
+    Each vertex takes a singleton mask, a doubleton mask or any nonempty
+    mask; in half the digraphs it may also take the empty mask.  Small
+    masks make the singleton, doubleton and pair vertices of a surjection
+    onto a power set common, and uniform masks rarely form them.
+    """
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    choices = [
+        vertex.map(lambda a: 1 << a),
+        st.tuples(vertex, vertex).map(lambda ab: 1 << ab[0] | 1 << ab[1]),
+        st.integers(1, (1 << n) - 1),
+    ]
+    if draw(st.booleans()):
+        choices.append(st.just(0))
+    return tuple(draw(st.lists(st.one_of(choices), min_size=n, max_size=n)))
+
+
+@st.composite
+def strongly_extensive_masks(draw, max_n: int = 6):
+    """The masks of a strongly extensive digraph on up to max_n vertices.
+
+    The realized masks grow from the empty mask by adding a realized mask
+    plus one bit whenever every one-bit removal of the result is realized,
+    so they stay a downset; each is then given to at least one vertex.
+    """
+    n = draw(st.integers(1, max_n))
+    realized = [0]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        if len(realized) == n:
+            break
+        m = draw(st.sampled_from(realized)) | 1 << draw(st.integers(0, n - 1))
+        if m not in realized and all(m ^ 1 << a in realized for a in range(n) if m >> a & 1):
+            realized.append(m)
+    rest = draw(st.lists(st.sampled_from(realized), min_size=n - len(realized), max_size=n - len(realized)))
+    return tuple(draw(st.permutations(realized + rest)))
+
+
 LETTERS = st.sampled_from(list("abcdef"))
 
 

@@ -8,8 +8,10 @@ from itertools import product
 import hypothesis
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from naive import (
+    filing_surjection,
     naive_dump_digraph,
     naive_is_cantor,
     naive_is_strongly_extensive,
@@ -18,7 +20,7 @@ from naive import (
     naive_predicate,
     naive_sur,
 )
-from strategies import repeated_masks
+from strategies import repeated_masks, small_masks, strongly_extensive_masks
 from zfcantor import analysis, formulas
 from zfcantor.analysis import (
     DigraphAnalysis,
@@ -26,11 +28,13 @@ from zfcantor.analysis import (
     SizeGuardExceeded,
     cantor_witness,
     extract_surjection,
+    find_surjection,
     is_cantor,
     is_strongly_extensive,
     masks_strongly_extensive,
     omega_level_ranges,
     omega_prefix,
+    unique_vertices,
 )
 from zfcantor.cantor import PREDICATE_ARITIES
 from zfcantor.census import digraph_from_counter
@@ -318,17 +322,16 @@ def counting_power_mask(grounds):
 
 class TestCantorSearch:
     @pytest.mark.parametrize(
-        "d, expected",
-        # repeated: no candidate has a ground among its values; shared: f has the
-        # first two grounds, and only the first reads the power set of N = {x, z}
-        [(repeated_grounds(20, 20), []), (shared_ground_values(20), [0b11])],
+        "d",
+        # both families' grounds have N = {x, z}, two bits, so no ground is a singleton
+        [repeated_grounds(20, 20), shared_ground_values(20)],
         ids=["repeated", "shared"],
     )
-    def test_each_ground_mask_reads_its_power_set_at_most_once(self, monkeypatch, d, expected):
+    def test_each_ground_mask_reads_its_power_set_at_most_once(self, monkeypatch, d):
         grounds = []
         monkeypatch.setattr(analysis, "power_mask", counting_power_mask(grounds))
         assert is_cantor(d)
-        assert grounds == expected, len(grounds)
+        assert grounds == [], len(grounds)
 
     @pytest.mark.parametrize(
         "d",
@@ -347,7 +350,43 @@ class TestCantorSearch:
             mp.setattr(analysis, "power_mask", counting_power_mask(grounds))
             witness = DigraphAnalysis(d).cantor_witness()
         assert witness == naive_first_surjection(d)
-        assert len(grounds) == len(set(grounds))
+        assert grounds == []
+
+    @hypothesis.seed(21)
+    @given(small_masks())
+    def test_gadget_matches_the_filing_search(self, masks):
+        assert find_surjection(masks, unique_vertices(masks)) == filing_surjection(masks)
+
+    def test_witnesses_equal_the_filing_search_up_to_n4(self):
+        found = 0
+        for n in range(1, 5):
+            for counter in range(2 ** (n * n)):
+                masks = digraph_from_counter(n, counter).masks
+                witness = find_surjection(masks, unique_vertices(masks))
+                assert witness == filing_surjection(masks), (n, counter)
+                found += witness is not None
+        assert found == 1 + 5 + 124 + 12_037
+
+    @pytest.mark.parametrize(
+        "d", [repeated_grounds(3, 2), distinct_grounds(3), shared_ground_values(3)],
+        ids=["repeated", "distinct", "shared"],
+    )
+    def test_families_match_the_filing_search(self, d):
+        assert cantor_witness(d) == filing_surjection(d.masks)
+
+    @hypothesis.seed(22)
+    @given(small_masks(max_n=5), st.integers(0, 5))
+    def test_an_empty_vertex_makes_the_digraph_cantor(self, masks, at):
+        at %= len(masks) + 1
+        d = Digraph.from_masks(masks[:at] + (0,) + masks[at:])
+        assert is_cantor(d) and naive_is_cantor(d)
+
+    @hypothesis.seed(23)
+    @given(strongly_extensive_masks(max_n=6))
+    def test_strongly_extensive_is_cantor(self, masks):
+        d = Digraph.from_masks(masks)
+        assert is_strongly_extensive(d) and naive_is_strongly_extensive(d)
+        assert is_cantor(d) and naive_is_cantor(d)
 
 
 class TestOneAnalysisPerDigraph:
@@ -362,10 +401,12 @@ class TestOneAnalysisPerDigraph:
         value = is_cantor(d)
         witness = cantor_witness(d)
         assert (witness is None) == value
+        assert kernel_calls == {"pair_table": 0, "find_surjection": 1}
         if witness is not None:
-            extract_surjection(d, witness[1], witness[0])
+            for _ in range(2):
+                extract_surjection(d, witness[1], witness[0])
         assert is_cantor(d) == value and cantor_witness(d) == witness
-        assert kernel_calls == {"pair_table": 1, "find_surjection": 1}
+        assert kernel_calls == {"pair_table": int(not value), "find_surjection": 1}
 
     @pytest.mark.parametrize("make", [lambda: all_loops(2), lambda: omega_prefix(4)], ids=["loops", "omega4"])
     def test_a_dropped_digraph_is_freed_without_the_collector(self, make):

@@ -175,12 +175,26 @@ def no_singleton_masks(draw):
 @given(no_singleton_masks())
 def test_no_singleton_vertex_means_no_pair_and_cantor(masks):
     """The lemma that lets the census skip the scan of tasks with no in-degree 1."""
-    pairs = pair_table(unique_vertices(masks))
-    assert pairs == {}
-    assert find_surjection(masks, pairs) is None
+    the = unique_vertices(masks)
+    assert pair_table(the) == {}
+    assert find_surjection(masks, the) is None
     d = Digraph.from_masks(masks)
     assert DigraphAnalysis(d).is_cantor()
     assert naive_is_cantor(d)
+
+
+def test_census_searches_only_tasks_with_a_singleton_and_no_empty_vertex(monkeypatch):
+    module = importlib.import_module("zfcantor.census")
+    searched = []
+
+    def counted(masks, the):
+        searched.append(masks)
+        return find_surjection(masks, the)
+
+    monkeypatch.setattr(module, "find_surjection", counted)
+    assert counts(census(4)) == FROZEN[4]
+    assert len(searched) == 2_183
+    assert all(1 in map(int.bit_count, masks) and 0 not in masks for masks in searched)
 
 
 class TestExamplesAreCounted:
