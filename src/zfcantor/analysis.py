@@ -30,7 +30,8 @@ exactly when no vertex is empty, as an empty vertex lies in every power
 set.  So a digraph with an empty vertex is Cantor, and so is a
 strongly extensive one.
 
-The census feeds the kernel the mask tuples of its representatives, and
+The census's witness listing feeds the kernel mask tuples in which one
+stand-in covers every mask of three or more bits, and
 ``DigraphAnalysis`` is a view of the kernel's tables for one
 ``Digraph``, built once per digraph as ``Digraph.analysis``, which the
 module-level ``is_cantor``, ``cantor_witness`` and ``extract_surjection``

@@ -1,53 +1,59 @@
 """Exhaustive counts of strongly extensive and Cantor digraphs on [n].
 
-All counts are over labeled digraphs, and both properties are invariant
-under relabeling.  A digraph is a tuple of in-neighborhood masks (bit
-u-1 of ``masks[v-1]`` set when u -> v).  The Cantor count comes from
-degree-sorted representatives: the mask tuples whose (in-degree,
-out-degree) pairs are non-increasing.  Relabeling maps the digraphs
-with one arrangement of a multiset of pairs one-to-one onto those with
-any other arrangement, so each representative stands for n! / prod(m!)
-labeled digraphs, m running over the multiplicities of its pairs.  The
-weights must sum to 2^(n*n) on every run, or ``CensusChecksumError`` is
-raised.  Work splits into one task per in-degree sequence and first
-mask; the result does not depend on the number of jobs.  By the lemma
-in ``analysis``, a task whose in-degrees include no 1, or a 0, has only
-Cantor representatives, so it is not searched.  The size bound is n <= 5
-(``HARD_MAX_N``): n = 6 has 96,928,992 digraphs even up to relabeling,
-out of reach of this pass.
+All counts are over labeled digraphs.  A digraph is a tuple of
+in-neighborhood masks (bit u-1 of ``masks[v-1]`` set when u -> v).  By
+the lemma in ``analysis``, its Cantor verdict reads only which vertices
+have an empty mask, which have a one-bit mask and which bit, and which
+have a two-bit mask and which two bits: every mask of three or more
+bits acts alike.  So both passes below walk the (n+1)^n maps s that say
+which vertices have a one-bit mask, and which bit, and skip each map
+with no ground, a vertex that is the only one with its mask {a}.  The
+other vertices, the rest, take the k = 2^n - 1 - n masks that are
+neither empty nor one bit.
+
+``non_cantor_count`` counts the rest's fillings in closed form.  A
+ground with a = u is a witness by itself, so every filling counts.  For
+any other ground u, the lemma asks for d, the only vertex with {a, u},
+and p, the only vertex with {u, d}, both among the rest, with p one of
+s's bits so that some vertex has the mask {p}; d = p = a is the one
+choice with d = p.  One ground's choices are disjoint, so
+inclusion-exclusion over sets of grounds counts the fillings with some
+working ground.  The count takes n <= 7 (``HARD_MAX_N``).
+
+With ``witnesses``, ``census`` also lists the non-Cantor digraphs by
+counter, where arrow (u, v) is present when bit (u-1)*n + (v-1) of the
+counter is set.  It fills the rest with two-bit masks or one stand-in
+mask of three or more bits, asks ``analysis.find_surjection`` for a
+witness, expands the stand-in over every mask of three or more bits and
+marks a bitmap of 2^(n*n) bits, read back in counter order.  The
+listing's length must equal the count, or ``CensusChecksumError`` is
+raised, so the two passes check each other.  The listing takes n <= 5
+(``WITNESS_MAX_N``): at n = 6 the bitmap would hold 2^36 bits.
 
 The strongly extensive count is not scanned for at all: it is the
 closed form ``strongly_extensive_count``, a sum over downsets of
 subsets of [n], computed once per n on first use and checked against
-the scan by strongly extensive <= Cantor.
-
-The non-Cantor digraphs are listed by counter, where arrow (u, v) is
-present when bit (u-1)*n + (v-1) of the counter is set.  Every
-relabeling of a non-Cantor digraph is non-Cantor, and every non-Cantor
-digraph is a relabeling of a non-Cantor representative, so the list is
-the set of counters of the n! relabelings of each such representative,
-sorted.  The counting builds no ``Digraph`` and hands its masks to the
-bitmask kernel in ``analysis``.
+the count by strongly extensive <= Cantor.
 """
 from __future__ import annotations
 
-import os
 import time
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from itertools import compress, product
+from math import comb
 from typing import Iterator
 
 from .analysis import find_surjection, unique_vertices
 from .digraphs import Digraph, SizeGuardExceeded, transpose
 from .records import Record
 
-HARD_MAX_N = 5
+HARD_MAX_N = 7
+WITNESS_MAX_N = 5
 
 
 class CensusChecksumError(RuntimeError):
-    """The census's weights do not sum to 2^(n*n), the number of digraphs on [n],
-    or its counts break strongly extensive <= Cantor <= total."""
+    """The census's counts break strongly extensive <= Cantor <= total, or
+    its witness listing is not as long as its non-Cantor count."""
 
 
 class CensusRow(Record):
@@ -81,98 +87,11 @@ class CensusRow(Record):
         return CensusRow, (*self._key(self), self.non_cantor)
 
 
-def _check_n(n: int) -> None:
-    if not (1 <= n <= HARD_MAX_N):
-        raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
-
-
 def digraph_from_counter(n: int, counter: int) -> Digraph:
     """The digraph with arrow (u, v) when bit (u-1)*n + (v-1) of counter is set."""
     # the n bits from (u-1)*n on are the out-mask of u
     full = (1 << n) - 1
     return Digraph.from_masks(transpose([counter >> u * n & full for u in range(n)]))
-
-
-@lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Masks on [n] by popcount, and each mask spread to one 4-bit digit per vertex."""
-    by_degree = tuple(tuple(m for m in range(1 << n) if m.bit_count() == d) for d in range(n + 1))
-    spread = tuple(sum(1 << 4 * u for u in range(n) if m >> u & 1) for m in range(1 << n))
-    return by_degree, spread
-
-
-def _reduced_tasks(n: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(n, in-degrees, first mask) for every non-increasing in-degree sequence."""
-    by_degree = _tables(n)[0]
-    return [
-        (n, degrees, first)
-        for degrees in combinations_with_replacement(range(n, -1, -1), n)
-        for first in by_degree[degrees[0]]
-    ]
-
-
-def _count_reduced(task: tuple[int, tuple[int, ...], int]) -> tuple[int, int, list]:
-    """(weight, Cantor, non-Cantor masks) over one task's representatives.
-
-    A representative is a mask tuple with the task's in-degrees whose
-    (in-degree, out-degree) pairs are non-increasing.  Summing the
-    spread masks gives every out-degree as one digit of ``s``; one SWAR
-    compare checks digit i >= digit i+1 for every i whose in-degree ties
-    with the next.  Digits are at most n <= 7, so bit 3 of each digit is
-    a guard that absorbs the subtraction without a borrow.  Prefixes are
-    grouped by their partial sum, and a prefix of k masks is dropped as
-    soon as n-k more masks cannot repair a tie.
-
-    A surjection onto a power set needs a vertex of in-degree 1 and none
-    of in-degree 0, so otherwise every representative is Cantor, and a
-    group keeps only its size, which is all that its weight needs.
-    """
-    n, degrees, first = task
-    by_degree, spread = _tables(n)
-    lo = guard = 0
-    for i in range(n - 1):
-        if degrees[i] == degrees[i + 1]:
-            lo |= 7 << 4 * i
-            guard |= 8 << 4 * i
-    scan = 1 in degrees and 0 not in degrees  # else no singleton vertex, or an empty one
-    groups = {spread[first]: [(first,)] if scan else 1}
-    for k, d in enumerate(degrees[1:], 2):
-        slack = (n - k) * (guard >> 3)
-        grown: dict = {}
-        for t, group in groups.items():
-            for m in by_degree[d]:
-                s = t + spread[m]
-                if ((s & lo) + slack | guard) - (s >> 4 & lo) & guard == guard:
-                    if scan:
-                        grown.setdefault(s, []).extend([p + (m,) for p in group])
-                    else:
-                        grown[s] = grown.get(s, 0) + group
-        groups = grown
-    if not scan:
-        total = sum(_weight(n, degrees, s) * size for s, size in groups.items())
-        return total, total, []
-    total = cantor = 0
-    non_cantor: list[tuple[int, ...]] = []
-    for s, group in groups.items():
-        weight = _weight(n, degrees, s)
-        found = [m for m in group if find_surjection(m, unique_vertices(m)) is not None]
-        total += weight * len(group)
-        cantor += weight * (len(group) - len(found))
-        non_cantor += found
-    return total, cantor, non_cantor
-
-
-def _weight(n: int, degrees: tuple[int, ...], s: int) -> int:
-    """n! over the factorials of the runs of equal (in-degree, out-degree) pairs."""
-    weight = factorial(n)
-    run = 1
-    for i in range(1, n):
-        if degrees[i] == degrees[i - 1] and (s >> 4 * i ^ s >> 4 * (i - 1)) & 15 == 0:
-            run += 1
-            weight //= run
-        else:
-            run = 1
-    return weight
 
 
 @lru_cache(maxsize=None)
@@ -207,44 +126,104 @@ def _surjections(n: int, k: int) -> int:
     return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
-def _relabelings(n: int, masks: tuple[int, ...]) -> Iterator[int]:
-    """The counter of each of the n! relabelings of a mask tuple (repeats included)."""
-    arrows = [(u, v) for v, m in enumerate(masks) for u in range(n) if m >> u & 1]
-    for perm in permutations(range(n)):
-        yield sum(1 << perm[u] * n + perm[v] for u, v in arrows)
+def _grounded_maps(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, int]]]]:
+    """(s, rest, grounds) for each map s with a ground; s[v] is v's one bit, or -1.
+
+    Vertices count from 0 here, so vertex v is bit v of a mask.  rest
+    lists the vertices with s[v] = -1, and grounds the pairs (u, a) where
+    u is the only vertex with s[u] = a.
+    """
+    for s in product(range(-1, n), repeat=n):
+        grounds = [(u, a) for u, a in enumerate(s) if a >= 0 and s.count(a) == 1]
+        if grounds:
+            yield s, [v for v, a in enumerate(s) if a < 0], grounds
+
+
+def _merge(fixed: dict[int, int], choice) -> dict[int, int] | None:
+    """fixed with choice's (vertex, mask) pairs; None if a vertex gets two masks or a mask two holders."""
+    merged = dict(fixed)
+    for v, m in choice:
+        if v not in merged:
+            if m in merged.values():
+                return None
+            merged[v] = m
+        elif merged[v] != m:
+            return None
+    return merged
+
+
+def non_cantor_count(n: int) -> int:
+    """The number of non-Cantor digraphs on [n], 1 <= n <= 7, in closed form.
+
+    Each term of the inclusion-exclusion fixes the masks of f of the r
+    vertices in rest, one holder per mask, and the other r - f vertices
+    take any of the k masks but those f.
+    """
+    k = (1 << n) - 1 - n
+    count = 0
+    for s, rest, grounds in _grounded_maps(n):
+        r = len(rest)
+        if any(u == a for u, a in grounds):
+            count += k**r
+            continue
+        bits = set(s)
+        terms: list[tuple[dict[int, int], int]] = [({}, -1)]  # (fixed masks, sign); the first is no ground
+        for u, a in grounds:
+            doubleton = 1 << a | 1 << u
+            own = [((a, doubleton),)] if s[a] < 0 else []  # d = p = a
+            own += [
+                ((d, doubleton), (p, 1 << u | 1 << d)) for d in rest for p in rest if p != d and p in bits
+            ]
+            terms += [(fixed, -sign) for old, sign in terms for choice in own if (fixed := _merge(old, choice))]
+        count += sum(sign * (k - len(fixed)) ** (r - len(fixed)) for fixed, sign in terms[1:])
+    return count
+
+
+def _non_cantor_counters(n: int) -> tuple[int, ...]:
+    """The counters of the non-Cantor digraphs on [n], 1 <= n <= 5, in counter order."""
+    two = [m for m in range(1 << n) if m.bit_count() == 2]
+    big = [m for m in range(1 << n) if m.bit_count() > 2]
+    stand_in = big[:1]  # empty when n < 3
+    column = [sum(1 << u * n for u in range(n) if m >> u & 1) for m in range(1 << n)]
+    bitmap = bytearray((1 << n * n) + 7 >> 3)
+    for s, rest, _ in _grounded_maps(n):
+        masks = [1 << a if a >= 0 else 0 for a in s]
+        for fill in product(two + stand_in, repeat=len(rest)):
+            for v, m in zip(rest, fill):
+                masks[v] = m
+            if find_surjection(masks, unique_vertices(masks)) is None:
+                continue
+            counters = [sum(column[m] << v for v, m in enumerate(masks) if m not in stand_in)]
+            for v, m in enumerate(masks):
+                if m in stand_in:
+                    counters = [c + (column[b] << v) for c in counters for b in big]
+            for c in counters:
+                bitmap[c >> 3] |= 1 << (c & 7)
+    offsets = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
+    return tuple(i << 3 | j for i in compress(range(len(bitmap)), bitmap) for j in offsets[bitmap[i]])
 
 
 def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
-    """Count strongly extensive and Cantor digraphs on [n], 1 <= n <= 5.
+    """Count strongly extensive and Cantor digraphs on [n], 1 <= n <= 7.
 
-    At most ``min(jobs, os.cpu_count(), number of tasks)`` worker
-    processes run, the tasks numbering 2, 8, 38, 192 and 1002 for
-    n = 1..5; one job runs in this process.  With ``witnesses`` the row
-    also lists the non-Cantor counters, the relabelings of the
-    non-Cantor representatives.
+    With ``witnesses`` (n <= 5) the row also lists the non-Cantor
+    counters.  ``jobs`` must be at least 1 and has no other effect.
     """
-    _check_n(n)
+    bound = WITNESS_MAX_N if witnesses else HARD_MAX_N
+    if not 1 <= n <= bound:
+        listing = " for a witness listing" if witnesses else ""
+        raise SizeGuardExceeded(f"n={n} is outside [1, {bound}]{listing}")
     if jobs < 1:
         raise SizeGuardExceeded(f"jobs must be >= 1, got {jobs}")
     total = 2 ** (n * n)
     start = time.perf_counter()
-    tasks = _reduced_tasks(n)
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
-    if jobs == 1:
-        parts = [_count_reduced(task) for task in tasks]
-    else:
-        import multiprocessing  # here, not at the top: it is a sixth of `import zfcantor`
-
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_count_reduced, tasks, chunksize=1)
-    weight, cantor = (sum(p[i] for p in parts) for i in range(2))
+    cantor = total - non_cantor_count(n)
     strongly_extensive = strongly_extensive_count(n)
-    if weight != total:
-        raise CensusChecksumError(f"weights sum to {weight}, not 2^{n * n}")
     if not strongly_extensive <= cantor <= total:
         raise CensusChecksumError(f"counts {strongly_extensive} <= {cantor} <= {total} fail")
-    reps = (masks for p in parts for masks in p[2]) if witnesses else ()
-    non_cantor = tuple(sorted({c for masks in reps for c in _relabelings(n, masks)}))
+    non_cantor = _non_cantor_counters(n) if witnesses else ()
+    if witnesses and len(non_cantor) != total - cantor:
+        raise CensusChecksumError(f"{len(non_cantor)} witnesses listed, {total - cantor} counted")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)
 

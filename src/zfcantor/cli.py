@@ -220,7 +220,7 @@ def cmd_census(args) -> int:
     from .census import census, digraph_from_counter, format_row
     from .digraphs import dump_digraph
 
-    row = census(args.n, jobs=args.jobs, witnesses=args.list_witnesses)
+    row = census(args.n, witnesses=args.list_witnesses)
     print(format_row(row))
     for counter in row.non_cantor:
         print(f"# digraph {counter}")
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("census", cmd_census, help="count strongly extensive and Cantor digraphs on [n]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--list-witnesses", action="store_true", help="dump the non-Cantor digraphs")
 
     return top

@@ -12,7 +12,7 @@ the package's ordered-pair table and tries each function against the
 power set of its ground, so it owes nothing to the lemma.
 ``counter_order_census`` runs it, with the package's strongly extensive
 check, on every counter, with no symmetry reduction, as the oracle for
-the census's weighted representatives and its relabeled witness list;
+the census's closed count and its witness listing;
 ``enumerate_digraphs`` yields the digraphs of the same counters.
 ``naive_expand`` and ``naive_instantiate`` are the word path of scheme
 expansion (render, rename and splice by the substitution
@@ -35,7 +35,7 @@ from zfcantor.analysis import (
     unique_vertices,
 )
 from zfcantor import schemes
-from zfcantor.census import HARD_MAX_N, digraph_from_counter
+from zfcantor.census import WITNESS_MAX_N, digraph_from_counter
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.formulas import (
     MAX_DEPTH,
@@ -288,8 +288,8 @@ def naive_census(n: int) -> tuple[int, int, int]:
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     """All 2^(n*n) labeled digraphs on [n], in counter order."""
-    if not (1 <= n <= HARD_MAX_N):
-        raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
+    if not (1 <= n <= WITNESS_MAX_N):
+        raise SizeGuardExceeded(f"n={n} is outside [1, {WITNESS_MAX_N}]")
     for counter in range(2 ** (n * n)):
         yield digraph_from_counter(n, counter)
 

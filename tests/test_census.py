@@ -1,5 +1,3 @@
-import importlib
-import multiprocessing
 import os
 import random
 import subprocess
@@ -91,10 +89,19 @@ class TestCensus:
     def test_frozen_n5(self):
         assert counts(census(5)) == FROZEN[5]
 
-    def test_jobs_do_not_change_counts(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # real worker processes on any machine
+    def test_jobs_do_not_change_counts(self):
         assert counts(census(2, jobs=1)) == counts(census(2, jobs=3))
         assert counts(census(4, jobs=2)) == counts(census(4, jobs=1)) == FROZEN[4]
+
+    def test_row_n6(self):
+        assert counts(census(6)) == (68_719_476_736, 310_393, 63_008_246_027)
+
+    def test_bounds_are_checked_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["zfcantor.census"], "non_cantor_count", None)
+        with pytest.raises(SizeGuardExceeded, match="n=8 is outside \\[1, 7\\]$"):
+            census(8)
+        with pytest.raises(SizeGuardExceeded, match="n=6 is outside \\[1, 5\\] for a witness listing"):
+            census(6, witnesses=True)
 
     def test_monotone_inequalities(self):
         for n in (1, 2, 3):
@@ -116,8 +123,8 @@ class TestCensus:
         assert format_row(row) == "1\t2\t1\t1\t4"
 
 
-class TestReducedPass:
-    """The weighted degree-sorted representatives against the counter-order oracle."""
+class TestCountAndListing:
+    """The closed count and the gadget listing against the counter-order oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_equal_the_counter_order_pass(self, n):
@@ -126,21 +133,15 @@ class TestReducedPass:
         assert counts(census(n)) == counts(row) == oracle_counts == FROZEN[n]
         assert row.non_cantor == oracle_non_cantor
 
-    def test_witnesses_do_not_depend_on_jobs(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # real worker processes on any machine
-        row = census(4, witnesses=True, jobs=2)
-        assert counts(row) == FROZEN[4]
-        assert row.non_cantor == counter_order_census(4)[1]
-
-    def test_weights_that_miss_a_digraph_raise(self, monkeypatch):
-        module = importlib.import_module("zfcantor.census")
-        tasks = module._reduced_tasks
-        monkeypatch.setattr(module, "_reduced_tasks", lambda n: tasks(n)[1:])
-        with pytest.raises(CensusChecksumError, match="not 2\\^9"):
-            census(3)
+    def test_a_listing_that_misses_a_witness_raises(self, monkeypatch):
+        module = sys.modules["zfcantor.census"]
+        listing = module._non_cantor_counters
+        monkeypatch.setattr(module, "_non_cantor_counters", lambda n: listing(n)[1:])
+        with pytest.raises(CensusChecksumError, match="123 witnesses listed, 124 counted"):
+            census(3, witnesses=True)
 
     def test_counts_out_of_order_raise(self, monkeypatch):
-        module = importlib.import_module("zfcantor.census")
+        module = sys.modules["zfcantor.census"]
         monkeypatch.setattr(module, "strongly_extensive_count", lambda n: 2 ** (n * n))
         with pytest.raises(CensusChecksumError, match="counts 512 <= 388 <= 512 fail"):
             census(3)
@@ -174,27 +175,13 @@ def no_singleton_masks(draw):
 @hypothesis.seed(61705)
 @given(no_singleton_masks())
 def test_no_singleton_vertex_means_no_pair_and_cantor(masks):
-    """The lemma that lets the census skip the scan of tasks with no in-degree 1."""
+    """The lemma that lets the census skip every map with no ground."""
     the = unique_vertices(masks)
     assert pair_table(the) == {}
     assert find_surjection(masks, the) is None
     d = Digraph.from_masks(masks)
     assert DigraphAnalysis(d).is_cantor()
     assert naive_is_cantor(d)
-
-
-def test_census_searches_only_tasks_with_a_singleton_and_no_empty_vertex(monkeypatch):
-    module = importlib.import_module("zfcantor.census")
-    searched = []
-
-    def counted(masks, the):
-        searched.append(masks)
-        return find_surjection(masks, the)
-
-    monkeypatch.setattr(module, "find_surjection", counted)
-    assert counts(census(4)) == FROZEN[4]
-    assert len(searched) == 2_183
-    assert all(1 in map(int.bit_count, masks) and 0 not in masks for masks in searched)
 
 
 class TestExamplesAreCounted:
@@ -213,45 +200,12 @@ class TestExamplesAreCounted:
             assert any(d.arrows == e.arrows and d.n == e.n for e in enumerate_digraphs(d.n))
 
 
-class StubPool:
-    """Records the requested worker count and refuses to start any worker."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes):
-        StubPool.sizes.append(processes)
-        raise RuntimeError("no worker processes in tests")
-
-
-class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def stub_pool(self, monkeypatch):
-        StubPool.sizes = []
-        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
-
-    def test_capped_by_cpu_count_and_task_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for n, jobs in ((2, 10**9), (1, 8), (2, 2)):
-            with pytest.raises(RuntimeError):
-                census(n, jobs=jobs)
-        # 2, 8, 38 and 192 tasks for n = 1..4, fewer than the 2^(n*n) digraphs
-        monkeypatch.setattr(os, "cpu_count", lambda: 256)
-        for n in (1, 2, 3, 4):
-            with pytest.raises(RuntimeError):
-                census(n, jobs=256)
-        assert StubPool.sizes == [3, 2, 2, 2, 8, 38, 192]
-
-    def test_one_cpu_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert counts(census(2, jobs=8)) == FROZEN[2]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert counts(census(2, jobs=8)) == FROZEN[2]
-        assert StubPool.sizes == []
-
-
 def test_import_does_not_load_multiprocessing():
-    """Only a census with more than one job starts a pool, so only it imports multiprocessing."""
-    code = "import sys, zfcantor; assert 'multiprocessing' not in sys.modules, 'loaded at import'"
+    """Nor does a census with jobs > 1: ``jobs`` is only checked, and every census runs in process."""
+    code = (
+        "import sys, zfcantor; assert 'multiprocessing' not in sys.modules, 'loaded at import'; "
+        "zfcantor.census(2, jobs=2); assert 'multiprocessing' not in sys.modules, 'loaded by census'"
+    )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),

@@ -308,7 +308,10 @@ class TestErrors:
         assert code == 1 and "invalid" in err
 
     def test_census_above_five_is_invalid(self, run):
-        assert run("census", "--n", "6") == (1, "", "invalid: n=6 is outside [1, 5]\n")
+        assert run("census", "--n", "8") == (1, "", "invalid: n=8 is outside [1, 7]\n")
+        assert run("census", "--n", "6", "--list-witnesses") == (
+            1, "", "invalid: n=6 is outside [1, 5] for a witness listing\n"
+        )
 
     def test_clashing_scheme_is_invalid(self, run, tmp_path):
         path = tmp_path / "clash.scheme"
@@ -406,12 +409,11 @@ class TestCensusVerb:
         assert main(argv) == 2
         assert capsys.readouterr().err == ""
 
-    def test_bad_jobs_is_invalid(self, run):
-        code, out, err = run("census", "--n", "2", "--jobs", "0")
-        assert code == 1
+    def test_jobs_is_a_usage_error(self, run):
+        code, out, err = run("census", "--n", "2", "--jobs", "2")
+        assert code == 2
         assert out == ""
-        assert err.startswith("invalid: jobs must be >= 1")
-        assert "Traceback" not in err
+        assert "unrecognized arguments: --jobs 2" in err
 
 
 class TestInputGuards:
