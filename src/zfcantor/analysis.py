@@ -47,10 +47,8 @@ call, so the census and the semantic verdict never load it.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
-from .records import InvalidInput, Record
+from .records import InvalidInput, Record, lazy
 
 # Most levels of the strongly extensive construction: level 4 ends at
 # vertex 2059, and level 5 would add 2^2059 vertices.
@@ -99,14 +97,16 @@ class SurjectionWitness(Record):
 
 
 def unique_vertices(masks) -> dict[int, int]:
-    """Each mask that exactly one vertex has, mapped to that vertex."""
-    the = dict(zip(masks, range(1, len(masks) + 1)))
-    if len(the) < len(masks):
-        seen = set()
-        for m in masks:
-            if m in seen:
-                the.pop(m, None)
-            seen.add(m)
+    """Each mask that exactly one vertex has, mapped to that vertex.
+
+    A mask is hashed once, and once more at each vertex that is not the
+    last to have it, as hashing an int takes time linear in its bits.
+    """
+    n = len(masks)
+    the = dict(zip(masks, range(1, n + 1)))  # each mask to its last vertex
+    if len(the) < n:
+        for v in set(range(1, n + 1)).difference(the.values()):
+            the.pop(masks[v - 1], None)
     return the
 
 
@@ -236,26 +236,31 @@ _predicate_side = None
 class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
-    Reads ``Digraph.masks`` and builds the unique-vertex map at once; the
-    ordered-pair table, which only OPA, REL, FUN, SUR and the witness
-    extraction read, and the Cantor search are each built at most once,
-    on first use, so a bare verdict builds no pair table.  It keeps no
-    reference to the digraph, so the one that ``Digraph.analysis``
-    caches makes no cycle.
+    Reads ``Digraph.masks``; the unique-vertex map, the ordered-pair
+    table, which only OPA, REL, FUN, SUR and the witness extraction
+    read, and the Cantor search are each built at most once, on first
+    use, so a bare verdict builds no pair table, and a verdict on a
+    digraph with an empty vertex builds no unique-vertex map either.  It
+    keeps no reference to the digraph, so the one that
+    ``Digraph.analysis`` caches makes no cycle.
     """
 
     def __init__(self, digraph: Digraph):
         self.n = digraph.n
         self.masks = digraph.masks
-        self._the = unique_vertices(self.masks)
 
-    @cached_property
+    @lazy
+    def _the(self) -> dict[int, int]:
+        return unique_vertices(self.masks)
+
+    @lazy
     def _pairs(self) -> dict[int, tuple[int, int]]:
         return pair_table(self._the)
 
-    @cached_property
+    @lazy
     def _witness(self) -> tuple[int, int] | None:
-        return find_surjection(self.masks, self._the)
+        # the search answers an empty vertex before it reads the map
+        return find_surjection(self.masks, {} if 0 in self.masks else self._the)
 
     check_vertex = Digraph.check_vertex  # reads only self.n
 

@@ -5,11 +5,11 @@ in-neighborhood masks (bit u-1 of ``masks[v-1]`` set when u -> v).  By
 the lemma in ``analysis``, its Cantor verdict reads only which vertices
 have an empty mask, which have a one-bit mask and which bit, and which
 have a two-bit mask and which two bits: every mask of three or more
-bits acts alike.  So both passes below walk the (n+1)^n maps s that say
-which vertices have a one-bit mask, and which bit, and skip each map
-with no ground, a vertex that is the only one with its mask {a}.  The
-other vertices, the rest, take the k = 2^n - 1 - n masks that are
-neither empty nor one bit.
+bits acts alike.  So both passes below walk maps s that say which
+vertices have a one-bit mask, and which bit, and skip each map with no
+ground, a vertex that is the only one with its mask {a}.  The other
+vertices, the rest, take the k = 2^n - 1 - n masks that are neither
+empty nor one bit.
 
 ``non_cantor_count`` counts the rest's fillings in closed form.  A
 ground with a = u is a witness by itself, so every filling counts.  For
@@ -18,28 +18,30 @@ and p, the only vertex with {u, d}, both among the rest, with p one of
 s's bits so that some vertex has the mask {p}; d = p = a is the one
 choice with d = p.  One ground's choices are disjoint, so
 inclusion-exclusion over sets of grounds counts the fillings with some
-working ground.  The count takes n <= 7 (``HARD_MAX_N``).
+working ground.  A relabelling keeps verdicts, so the count walks only
+the n^(n-r) maps whose rest is the last r vertices, weighted by
+comb(n, r), for each r.  It takes n <= 7 (``HARD_MAX_N``).
 
 With ``witnesses``, ``census`` also lists the non-Cantor digraphs by
 counter, where arrow (u, v) is present when bit (u-1)*n + (v-1) of the
-counter is set.  It fills the rest with two-bit masks or one stand-in
-mask of three or more bits, asks ``analysis.find_surjection`` for a
-witness, expands the stand-in over every mask of three or more bits and
-marks a bitmap of 2^(n*n) bits, read back in counter order.  The
-listing's length must equal the count, or ``CensusChecksumError`` is
-raised, so the two passes check each other.  The listing takes n <= 5
-(``WITNESS_MAX_N``): at n = 6 the bitmap would hold 2^36 bits.
+counter is set.  It walks the maps of every rest, fills the rest with
+two-bit masks or one stand-in of three or more bits, asks
+``analysis.find_surjection`` for a witness, expands the stand-in over
+every mask of three or more bits and marks a bitmap of 2^(n*n) bits,
+read back in counter order.  Its length must equal the count, or
+``CensusChecksumError`` is raised, so the two passes check each other.
+It takes n <= 5 (``WITNESS_MAX_N``): at n = 6 the bitmap would hold
+2^36 bits.
 
-The strongly extensive count is not scanned for at all: it is the
-closed form ``strongly_extensive_count``, a sum over downsets of
-subsets of [n], computed once per n on first use and checked against
-the count by strongly extensive <= Cantor.
+The strongly extensive column is the closed form
+``strongly_extensive_count``, checked against the count by strongly
+extensive <= Cantor.
 """
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, combinations, compress, permutations, product
 from math import comb
 from typing import Iterator
 
@@ -126,17 +128,16 @@ def _surjections(n: int, k: int) -> int:
     return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
-def _grounded_maps(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, int]]]]:
-    """(s, rest, grounds) for each map s with a ground; s[v] is v's one bit, or -1.
+def _grounded_maps(n: int, rest) -> Iterator[tuple[dict[int, int], list[tuple[int, int]]]]:
+    """(s, grounds) for each map s with this rest and a ground; s[v] is v's one bit.
 
-    Vertices count from 0 here, so vertex v is bit v of a mask.  rest
-    lists the vertices with s[v] = -1, and grounds the pairs (u, a) where
-    u is the only vertex with s[u] = a.
+    Vertex v is bit v of a mask, and u is the only vertex with s[u] = a in each ground (u, a).
     """
-    for s in product(range(-1, n), repeat=n):
-        grounds = [(u, a) for u, a in enumerate(s) if a >= 0 and s.count(a) == 1]
+    holders = [v for v in range(n) if v not in rest]
+    for bits in product(range(n), repeat=len(holders)):
+        grounds = [(u, a) for u, a in zip(holders, bits) if bits.count(a) == 1]
         if grounds:
-            yield s, [v for v, a in enumerate(s) if a < 0], grounds
+            yield dict(zip(holders, bits)), grounds
 
 
 def _merge(fixed: dict[int, int], choice) -> dict[int, int] | None:
@@ -161,21 +162,25 @@ def non_cantor_count(n: int) -> int:
     """
     k = (1 << n) - 1 - n
     count = 0
-    for s, rest, grounds in _grounded_maps(n):
-        r = len(rest)
-        if any(u == a for u, a in grounds):
-            count += k**r
-            continue
-        bits = set(s)
-        terms: list[tuple[dict[int, int], int]] = [({}, -1)]  # (fixed masks, sign); the first is no ground
-        for u, a in grounds:
-            doubleton = 1 << a | 1 << u
-            own = [((a, doubleton),)] if s[a] < 0 else []  # d = p = a
-            own += [
-                ((d, doubleton), (p, 1 << u | 1 << d)) for d in rest for p in rest if p != d and p in bits
-            ]
-            terms += [(fixed, -sign) for old, sign in terms for choice in own if (fixed := _merge(old, choice))]
-        count += sum(sign * (k - len(fixed)) ** (r - len(fixed)) for fixed, sign in terms[1:])
+    for r in range(n + 1):
+        rest = range(n - r, n)
+        links = list(permutations(rest, 2))
+        partial = 0
+        for s, grounds in _grounded_maps(n, rest):
+            if any(u == a for u, a in grounds):
+                partial += k**r
+                continue
+            if not r:  # d and p lie in the rest, so with no rest only u = a works
+                continue
+            bits = set(s.values())
+            terms: list[tuple[dict[int, int], int]] = [({}, -1)]  # (fixed masks, sign); the first is no ground
+            for u, a in grounds:
+                doubleton = 1 << a | 1 << u
+                own = [] if a in s else [((a, doubleton),)]  # d = p = a
+                own += [((d, doubleton), (p, 1 << u | 1 << d)) for d, p in links if p in bits]
+                terms += [(fixed, -sign) for old, sign in terms for choice in own if (fixed := _merge(old, choice))]
+            partial += sum(sign * (k - len(fixed)) ** (r - len(fixed)) for fixed, sign in terms[1:])
+        count += comb(n, r) * partial
     return count
 
 
@@ -186,19 +191,20 @@ def _non_cantor_counters(n: int) -> tuple[int, ...]:
     stand_in = big[:1]  # empty when n < 3
     column = [sum(1 << u * n for u in range(n) if m >> u & 1) for m in range(1 << n)]
     bitmap = bytearray((1 << n * n) + 7 >> 3)
-    for s, rest, _ in _grounded_maps(n):
-        masks = [1 << a if a >= 0 else 0 for a in s]
-        for fill in product(two + stand_in, repeat=len(rest)):
-            for v, m in zip(rest, fill):
-                masks[v] = m
-            if find_surjection(masks, unique_vertices(masks)) is None:
-                continue
-            counters = [sum(column[m] << v for v, m in enumerate(masks) if m not in stand_in)]
-            for v, m in enumerate(masks):
-                if m in stand_in:
-                    counters = [c + (column[b] << v) for c in counters for b in big]
-            for c in counters:
-                bitmap[c >> 3] |= 1 << (c & 7)
+    for rest in chain.from_iterable(combinations(range(n), r) for r in range(n + 1)):
+        for s, _ in _grounded_maps(n, rest):
+            masks = [1 << s[v] if v in s else 0 for v in range(n)]
+            for fill in product(two + stand_in, repeat=len(rest)):
+                for v, m in zip(rest, fill):
+                    masks[v] = m
+                if find_surjection(masks, unique_vertices(masks)) is None:
+                    continue
+                counters = [sum(column[m] << v for v, m in enumerate(masks) if m not in stand_in)]
+                for v, m in enumerate(masks):
+                    if m in stand_in:
+                        counters = [c + (column[b] << v) for c in counters for b in big]
+                for c in counters:
+                    bitmap[c >> 3] |= 1 << (c & 7)
     offsets = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
     return tuple(i << 3 | j for i in compress(range(len(bitmap)), bitmap) for j in offsets[bitmap[i]])
 

@@ -216,15 +216,29 @@ def cmd_omega(args) -> int:
     return 0
 
 
+def counter_text(n: int):
+    """A function from a counter on [n] to its digraph's text, as dump_digraph writes it.
+
+    Bit (u-1)*n + (v-1) of a counter is the arrow (u, v), so its bits in
+    order are dump_digraph's tail-then-head order, and each byte of the
+    counter reads its lines from a table of 256 strings.
+    """
+    lines = [f"{u} {v}\n" for u in range(1, n + 1) for v in range(1, n + 1)]
+    tables = [
+        ["".join(line for j, line in enumerate(lines[i : i + 8]) if byte >> j & 1) for byte in range(256)]
+        for i in range(0, n * n, 8)
+    ]
+    head, size = f"vertices {n}\n", len(tables)
+    return lambda counter: head + "".join(map(list.__getitem__, tables, counter.to_bytes(size, "little")))
+
+
 def cmd_census(args) -> int:
-    from .census import census, digraph_from_counter, format_row
-    from .digraphs import dump_digraph
+    from .census import census, format_row
 
     row = census(args.n, witnesses=args.list_witnesses)
     print(format_row(row))
-    for counter in row.non_cantor:
-        print(f"# digraph {counter}")
-        sys.stdout.write(dump_digraph(digraph_from_counter(args.n, counter)))
+    text = counter_text(args.n)
+    sys.stdout.writelines(f"# digraph {counter}\n{text(counter)}" for counter in row.non_cantor)
     return 0
 
 

@@ -14,10 +14,9 @@ nor sorts the pairs.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 from typing import Iterable
 
-from .records import InvalidInput, Record, uncommented_lines
+from .records import InvalidInput, Record, lazy, uncommented_lines
 
 
 # Most vertices of a digraph: checks allocate per-vertex tables.
@@ -117,12 +116,12 @@ class Digraph(Record):
     def __reduce__(self):
         return self.from_masks, (self.masks,)
 
-    @cached_property
+    @lazy
     def arrows(self) -> frozenset[tuple[int, int]]:
         """The (u, v) pairs, built from the masks on first use."""
         return frozenset((u, v) for v, m in enumerate(self.masks, 1) for u in mask_vertices(m))
 
-    @cached_property
+    @lazy
     def analysis(self) -> _analysis.DigraphAnalysis:
         """The kernel's tables and Cantor search for this digraph, built on first use."""
         return _analysis.DigraphAnalysis(self)

@@ -12,8 +12,9 @@ deleting a field raises ``dataclasses.FrozenInstanceError``.  The
 error path only.
 
 Every layer imports this module, so it also holds ``InvalidInput``, the
-one root of the errors that refuse an input, and ``uncommented_lines``,
-the one ``#`` comment rule of formula, digraph and scheme text.
+one root of the errors that refuse an input, ``uncommented_lines``, the
+one ``#`` comment rule of formula, digraph and scheme text, and
+``lazy``, the one cached property.
 """
 from __future__ import annotations
 
@@ -30,6 +31,27 @@ def uncommented_lines(text: str) -> list[str]:
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     return lines
+
+
+class lazy:
+    """A property computed on its first read and then stored in the instance.
+
+    It is ``functools.cached_property`` without the lock that Python
+    3.11 and older take on every first read, which costs about half a
+    microsecond, a few per cent of a semantic verdict on a small digraph.
+    A race may compute the value twice; both results are equal.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)  # later reads find it first
+        return value
 
 
 def frozen_error(message: str) -> AttributeError:

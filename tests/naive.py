@@ -13,7 +13,9 @@ power set of its ground, so it owes nothing to the lemma.
 ``counter_order_census`` runs it, with the package's strongly extensive
 check, on every counter, with no symmetry reduction, as the oracle for
 the census's closed count and its witness listing;
-``enumerate_digraphs`` yields the digraphs of the same counters.
+``enumerate_digraphs`` yields the digraphs of the same counters, and
+``every_map_non_cantor_count`` is the closed count before its relabelling
+by rest size, walking every one-bit map.
 ``naive_expand`` and ``naive_instantiate`` are the word path of scheme
 expansion (render, rename and splice by the substitution
 operations, parse again), the oracle for the package's tree splice;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from zfcantor.analysis import (
@@ -314,6 +316,47 @@ def counter_order_census(n: int) -> tuple[tuple[int, int, int], tuple[int, ...]]
         else:
             non_cantor.append(counter)
     return (total, strongly_extensive, cantor), tuple(non_cantor)
+
+
+def every_map_non_cantor_count(n: int) -> int:
+    """The census's closed non-Cantor count, walking all (n+1)^n one-bit maps.
+
+    The same inclusion-exclusion per map as ``census.non_cantor_count``,
+    with no relabelling: s[v] is vertex v's one bit, or -1 when v is in
+    the rest, and every map with a ground is visited.
+    """
+    k = (1 << n) - 1 - n
+    count = 0
+    for s in product(range(-1, n), repeat=n):
+        grounds = [(u, a) for u, a in enumerate(s) if a >= 0 and s.count(a) == 1]
+        if not grounds:
+            continue
+        rest = [v for v, a in enumerate(s) if a < 0]
+        r = len(rest)
+        if any(u == a for u, a in grounds):
+            count += k**r
+            continue
+        terms: list[tuple[dict[int, int], int]] = [({}, -1)]
+        for u, a in grounds:
+            doubleton = 1 << a | 1 << u
+            own = [((a, doubleton),)] if s[a] < 0 else []
+            own += [((d, doubleton), (p, 1 << u | 1 << d)) for d in rest for p in rest if p != d and p in s]
+            terms += [(fixed, -sign) for old, sign in terms for choice in own if (fixed := _merged(old, choice))]
+        count += sum(sign * (k - len(fixed)) ** (r - len(fixed)) for fixed, sign in terms[1:])
+    return count
+
+
+def _merged(fixed: dict[int, int], choice) -> dict[int, int] | None:
+    """fixed with choice's (vertex, mask) pairs; None if a vertex gets two masks or a mask two holders."""
+    merged = dict(fixed)
+    for v, m in choice:
+        if v not in merged:
+            if m in merged.values():
+                return None
+            merged[v] = m
+        elif merged[v] != m:
+            return None
+    return merged
 
 
 # ---------------------------------------------------------------------------

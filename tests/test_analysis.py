@@ -374,6 +374,13 @@ class TestCantorSearch:
     def test_families_match_the_filing_search(self, d):
         assert cantor_witness(d) == filing_surjection(d.masks)
 
+    def test_a_verdict_on_an_empty_vertex_builds_no_unique_vertex_map(self, monkeypatch):
+        d = distinct_grounds(4000)  # y and every x_i are empty
+        calls = []
+        monkeypatch.setattr(analysis, "unique_vertices", lambda masks: calls.append(masks))
+        assert is_cantor(d) and cantor_witness(d) is None
+        assert calls == []
+
     @hypothesis.seed(22)
     @given(small_masks(max_n=5), st.integers(0, 5))
     def test_an_empty_vertex_makes_the_digraph_cantor(self, masks, at):
@@ -387,6 +394,32 @@ class TestCantorSearch:
         d = Digraph.from_masks(masks)
         assert is_strongly_extensive(d) and naive_is_strongly_extensive(d)
         assert is_cantor(d) and naive_is_cantor(d)
+
+
+class Mask(int):
+    """An int mask that counts the hashes of each mask value."""
+
+    hashes: dict[int, int] = {}
+
+    def __hash__(self):
+        Mask.hashes[int(self)] = Mask.hashes.get(int(self), 0) + 1
+        return int.__hash__(self)
+
+
+class TestUniqueVertices:
+    @hypothesis.seed(24)
+    @given(repeated_masks())
+    def test_maps_each_unrepeated_mask_to_its_vertex_in_order(self, masks):
+        want = {m: v for v, m in enumerate(masks, 1) if masks.count(m) == 1}
+        assert list(unique_vertices(masks).items()) == list(want.items())
+
+    @hypothesis.seed(25)
+    @given(repeated_masks())
+    def test_hashes_a_mask_at_most_twice_per_vertex_that_has_it(self, masks):
+        Mask.hashes = {}
+        unique_vertices([Mask(m) for m in masks])
+        for m, hashes in Mask.hashes.items():
+            assert hashes <= 2 * masks.count(m) - 1, (m, hashes)
 
 
 class TestOneAnalysisPerDigraph:

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import islice
+from itertools import combinations, islice, product
 
 import hypothesis
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from naive import (
     counter_order_census,
     enumerate_digraphs,
+    every_map_non_cantor_count,
     kernel_verdicts,
     naive_census,
     naive_is_cantor,
@@ -31,6 +32,7 @@ from zfcantor.census import (
     census,
     digraph_from_counter,
     format_row,
+    non_cantor_count,
     strongly_extensive_count,
 )
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
@@ -145,6 +147,29 @@ class TestCountAndListing:
         monkeypatch.setattr(module, "strongly_extensive_count", lambda n: 2 ** (n * n))
         with pytest.raises(CensusChecksumError, match="counts 512 <= 388 <= 512 fail"):
             census(3)
+
+
+class TestCountByRestSize:
+    """The count walks one rest per size and weights it; the oracle walks every map."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_every_map_walk(self, n):
+        assert non_cantor_count(n) == every_map_non_cantor_count(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_maps_of_every_rest_are_the_grounded_maps(self, n):
+        module = sys.modules["zfcantor.census"]
+        walked = [
+            tuple(s.get(v, -1) for v in range(n))
+            for r in range(n + 1)
+            for rest in combinations(range(n), r)
+            for s, _ in module._grounded_maps(n, rest)
+        ]
+        grounded = [s for s in product(range(-1, n), repeat=n) if any(a >= 0 and s.count(a) == 1 for a in s)]
+        assert sorted(walked) == grounded
+
+    def test_the_count_has_no_cache(self):
+        assert not hasattr(non_cantor_count, "cache_info")
 
 
 class TestClosedForm:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from zfcantor.analysis import omega_prefix
 from zfcantor.cantor import SENTENCE_LENGTH
-from zfcantor.cli import main
+from zfcantor.census import census, digraph_from_counter
+from zfcantor.cli import counter_text, main
 from zfcantor.digraphs import MAX_VERTICES, all_loops, dump_digraph, load_digraph
 from zfcantor.formulas import parse, tokenize
 from zfcantor.semantics import evaluate
@@ -402,6 +403,15 @@ class TestCensusVerb:
         assert code == 0
         rest = out.split("\n", 1)[1]
         assert hashlib.sha256(rest.encode()).hexdigest() == LIST_WITNESSES_SHA256[n]
+
+    def test_counter_text_is_the_dump_of_the_counter_digraph(self):
+        for n in (1, 2, 3):
+            text = counter_text(n)
+            for counter in range(2 ** (n * n)):
+                assert text(counter) == dump_digraph(digraph_from_counter(n, counter)), (n, counter)
+        text = counter_text(4)
+        for counter in census(4, witnesses=True).non_cantor:
+            assert text(counter) == dump_digraph(digraph_from_counter(4, counter)), counter
 
     @pytest.mark.parametrize("argv", [["census", "--n", "3", "--list-witnesses"], ["omega", "--levels", "2"]])
     def test_closed_stdout_exits_2_without_a_traceback(self, capsys, monkeypatch, argv):
