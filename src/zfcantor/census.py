@@ -22,16 +22,14 @@ working ground.  A relabelling keeps verdicts, so the count walks only
 the n^(n-r) maps whose rest is the last r vertices, weighted by
 comb(n, r), for each r.  It takes n <= 7 (``HARD_MAX_N``).
 
-With ``witnesses``, ``census`` also lists the non-Cantor digraphs by
-counter, where arrow (u, v) is present when bit (u-1)*n + (v-1) of the
-counter is set.  It walks the maps of every rest, fills the rest with
-two-bit masks or one stand-in of three or more bits, asks
-``analysis.find_surjection`` for a witness, expands the stand-in over
-every mask of three or more bits and marks a bitmap of 2^(n*n) bits,
-read back in counter order.  Its length must equal the count, or
-``CensusChecksumError`` is raised, so the two passes check each other.
-It takes n <= 5 (``WITNESS_MAX_N``): at n = 6 the bitmap would hold
-2^36 bits.
+``witness_listing`` (n <= 5, ``WITNESS_MAX_N``) lists the non-Cantor
+digraphs by counter, whose bit (u-1)*n + (v-1) is the arrow (u, v).  It
+fills the rest of each map with two-bit masks or one stand-in of three
+or more bits, asks ``analysis.find_surjection`` for a witness, and marks
+each witness, its stand-ins expanded over every such mask, in a bitmap
+of 2^(n*n) bits that a generator reads in counter order.  The bitmap's
+popcount must equal the count (``CensusChecksumError``), so the two
+passes check each other.
 
 The strongly extensive column is the closed form
 ``strongly_extensive_count``, checked against the count by strongly
@@ -54,8 +52,7 @@ WITNESS_MAX_N = 5
 
 
 class CensusChecksumError(RuntimeError):
-    """The census's counts break strongly extensive <= Cantor <= total, or
-    its witness listing is not as long as its non-Cantor count."""
+    """The counts break strongly extensive <= Cantor <= total, or the listing is not as long as the count."""
 
 
 class CensusRow(Record):
@@ -68,15 +65,7 @@ class CensusRow(Record):
     __slots__ = ("n", "total", "strongly_extensive", "cantor", "elapsed_ms", "non_cantor")
     _fields = __slots__[:5]
 
-    def __init__(
-        self,
-        n: int,
-        total: int,
-        strongly_extensive: int,
-        cantor: int,
-        elapsed_ms: float,
-        non_cantor: tuple[int, ...] = (),
-    ):
+    def __init__(self, n: int, total: int, strongly_extensive: int, cantor: int, elapsed_ms: float, non_cantor=()):
         init = object.__setattr__
         init(self, "n", n)
         init(self, "total", total)
@@ -184,8 +173,8 @@ def non_cantor_count(n: int) -> int:
     return count
 
 
-def _non_cantor_counters(n: int) -> tuple[int, ...]:
-    """The counters of the non-Cantor digraphs on [n], 1 <= n <= 5, in counter order."""
+def _non_cantor_bitmap(n: int) -> bytearray:
+    """Bit c set for each counter c of a non-Cantor digraph on [n], 1 <= n <= 5."""
     two = [m for m in range(1 << n) if m.bit_count() == 2]
     big = [m for m in range(1 << n) if m.bit_count() > 2]
     stand_in = big[:1]  # empty when n < 3
@@ -205,33 +194,44 @@ def _non_cantor_counters(n: int) -> tuple[int, ...]:
                         counters = [c + (column[b] << v) for c in counters for b in big]
                 for c in counters:
                     bitmap[c >> 3] |= 1 << (c & 7)
-    offsets = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
-    return tuple(i << 3 | j for i in compress(range(len(bitmap)), bitmap) for j in offsets[bitmap[i]])
+    return bitmap
 
 
 def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
     """Count strongly extensive and Cantor digraphs on [n], 1 <= n <= 7.
 
-    With ``witnesses`` (n <= 5) the row also lists the non-Cantor
-    counters.  ``jobs`` must be at least 1 and has no other effect.
+    With ``witnesses`` (n <= 5) the row also holds the counters of ``witness_listing``
+    as a tuple.  ``jobs`` must be at least 1 and has no other effect.
     """
-    bound = WITNESS_MAX_N if witnesses else HARD_MAX_N
-    if not 1 <= n <= bound:
-        listing = " for a witness listing" if witnesses else ""
-        raise SizeGuardExceeded(f"n={n} is outside [1, {bound}]{listing}")
     if jobs < 1:
         raise SizeGuardExceeded(f"jobs must be >= 1, got {jobs}")
+    if witnesses:
+        row, counters = witness_listing(n)
+        return CensusRow(*row._key(row), tuple(counters))
+    if not 1 <= n <= HARD_MAX_N:
+        raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
     total = 2 ** (n * n)
     start = time.perf_counter()
     cantor = total - non_cantor_count(n)
     strongly_extensive = strongly_extensive_count(n)
     if not strongly_extensive <= cantor <= total:
         raise CensusChecksumError(f"counts {strongly_extensive} <= {cantor} <= {total} fail")
-    non_cantor = _non_cantor_counters(n) if witnesses else ()
-    if witnesses and len(non_cantor) != total - cantor:
-        raise CensusChecksumError(f"{len(non_cantor)} witnesses listed, {total - cantor} counted")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return CensusRow(n, total, strongly_extensive, cantor, elapsed_ms, non_cantor)
+    return CensusRow(n, total, strongly_extensive, cantor, (time.perf_counter() - start) * 1000.0)
+
+
+def witness_listing(n: int) -> tuple[CensusRow, Iterator[int]]:
+    """The row of census(n), 1 <= n <= 5, and a generator of its non-Cantor counters in counter order."""
+    if not 1 <= n <= WITNESS_MAX_N:
+        raise SizeGuardExceeded(f"n={n} is outside [1, {WITNESS_MAX_N}] for a witness listing")
+    start = time.perf_counter()
+    row, bitmap = census(n), _non_cantor_bitmap(n)
+    # Checked before any counter is read, a page at a time: one int of the whole bitmap would double its memory.
+    listed = sum(int.from_bytes(bitmap[i : i + 4096], "little").bit_count() for i in range(0, len(bitmap), 4096))
+    if listed != row.total - row.cantor:
+        raise CensusChecksumError(f"{listed} witnesses listed, {row.total - row.cantor} counted")
+    offsets = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
+    row = CensusRow(n, row.total, row.strongly_extensive, row.cantor, (time.perf_counter() - start) * 1000.0)
+    return row, (i << 3 | j for i in compress(range(len(bitmap)), bitmap) for j in offsets[bitmap[i]])
 
 
 def format_row(row: CensusRow) -> str:

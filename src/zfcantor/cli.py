@@ -233,12 +233,12 @@ def counter_text(n: int):
 
 
 def cmd_census(args) -> int:
-    from .census import census, format_row
+    from .census import census, format_row, witness_listing
 
-    row = census(args.n, witnesses=args.list_witnesses)
+    row, counters = witness_listing(args.n) if args.list_witnesses else (census(args.n), ())
     print(format_row(row))
     text = counter_text(args.n)
-    sys.stdout.writelines(f"# digraph {counter}\n{text(counter)}" for counter in row.non_cantor)
+    sys.stdout.writelines(f"# digraph {counter}\n{text(counter)}" for counter in counters)
     return 0
 
 

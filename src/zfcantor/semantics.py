@@ -18,9 +18,12 @@ quantifier combines the n blocks of its child's top axis.  Membership
 tables come from ``Digraph.masks``: the row of the elements of a
 vertex is its in-mask, and the membership matrix stacks the in-masks,
 or the out-masks (their transpose) when the left variable is the top
-axis.  The cost is O(|formula| * n^w) for w the most axes of any table
-(Vardi 1995, "On the complexity of bounded-variable queries"); w is 5
-for the Cantor sentence.
+axis.  A two-variable atom under a connective is read at its parent's
+axes: the atom's instruction carries the broadcast, so an evaluation
+builds each layout of each such atom once, however often the formula
+reads it.  The cost is O(|formula| * n^w) for w the most axes of any
+table (Vardi 1995, "On the complexity of bounded-variable queries"); w
+is 5 for the Cantor sentence.
 
 The axis layout of every node, the broadcast steps and the free
 variables depend on the tree alone, so a tree's first evaluation
@@ -77,7 +80,7 @@ class NotASentence(SemanticsError):
 _CONST = 0  # (op, k, is_membership, left, right): both sides bound by env, as indices into free
 _ROW = 1  # (op, k, is_membership, index into free, bound_is_left): one side bound by env
 _DIAG = 2  # (op, k, is_membership): both sides one quantified variable
-_MATRIX = 3  # (op, k, is_membership, left_is_top): two quantified variables
+_MATRIX = 3  # (op, k, is_membership, left_is_top, steps): two quantified variables, read at the parent's axes
 _NOT = 4  # (op, k)
 _AND, _OR, _IMPLIES, _IFF = 5, 6, 7, 8  # (op, k, left k, left steps, right k, right steps)
 _EXISTS, _FORALL = 9, 10  # (op, k)
@@ -115,8 +118,10 @@ def _compile(tree: Formula) -> _Plan:
         program.append(instruction)
         return axes
 
-    def walk(node: Formula, scope: dict[Symbol, int], depth: int) -> tuple[int, ...]:
-        """Append the node's instructions; return its axes as binder depths, ascending.
+    def walk(node: Formula, scope: dict[Symbol, int], depth: int) -> tuple[tuple[int, ...], int | None]:
+        """Append the node's instructions; return its axes as binder depths,
+        ascending, and the index of its instruction if node is a _MATRIX
+        atom, else None.
 
         scope maps each variable to the depth of its binder; depth counts
         the quantifiers above node.
@@ -126,33 +131,39 @@ def _compile(tree: Formula) -> _Plan:
             mem = isinstance(node, Membership)
             left, right = scope.get(node.left), scope.get(node.right)
             if left is None and right is None:
-                return emit((_CONST, 0, mem, index(node.left), index(node.right)), ())
+                return emit((_CONST, 0, mem, index(node.left), index(node.right)), ()), None
             if left is None:
-                return emit((_ROW, 1, mem, index(node.left), True), (right,))
+                return emit((_ROW, 1, mem, index(node.left), True), (right,)), None
             if right is None:
-                return emit((_ROW, 1, mem, index(node.right), False), (left,))
+                return emit((_ROW, 1, mem, index(node.right), False), (left,)), None
             if left == right:
-                return emit((_DIAG, 1, mem), (left,))
-            return emit((_MATRIX, 2, mem, left > right), tuple(sorted((left, right))))
+                return emit((_DIAG, 1, mem), (left,)), None
+            return emit((_MATRIX, 2, mem, left > right, ()), tuple(sorted((left, right)))), len(program) - 1
         if isinstance(node, PredicateAtom):  # only its free variables matter: evaluate rejects the plan
             unexpanded = unexpanded or node.name
             for sym in node.args:
                 if sym not in scope:
                     index(sym)
-            return ()
+            return (), None
         if isinstance(node, Not):
-            axes = walk(node.child, scope, depth)
-            return emit((_NOT, len(axes)), axes)
+            axes = walk(node.child, scope, depth)[0]
+            return emit((_NOT, len(axes)), axes), None
         if isinstance(node, Quantifier):
-            axes = walk(node.child, {**scope, node.var: depth}, depth + 1)
+            axes = walk(node.child, {**scope, node.var: depth}, depth + 1)[0]
             if not axes or axes[-1] != depth:
-                return axes  # vacuous: over a nonempty domain the child is its own value
-            return emit((_EXISTS if node.symbol is EXISTS else _FORALL, len(axes) - 1), axes[:-1])
-        left = walk(node.left, scope, depth)
-        right = walk(node.right, scope, depth)
+                return axes, None  # vacuous: over a nonempty domain the child is its own value
+            return emit((_EXISTS if node.symbol is EXISTS else _FORALL, len(axes) - 1), axes[:-1]), None
+        left, left_atom = walk(node.left, scope, depth)
+        right, right_atom = walk(node.right, scope, depth)
         axes = tuple(sorted(set(left) | set(right)))
-        op = _BINARY_OPS[type(node)]
-        return emit((op, len(axes), len(left), _steps(left, axes), len(right), _steps(right, axes)), axes)
+        sides = []
+        for child, atom in ((left, left_atom), (right, right_atom)):
+            steps = _steps(child, axes)
+            if atom is not None and steps:  # the atom is read at these axes: steps move to it
+                program[atom] = (_MATRIX, len(axes), *program[atom][2:4], steps)
+                child, steps = axes, ()
+            sides += [len(child), steps]
+        return emit((_BINARY_OPS[type(node)], len(axes), *sides), axes), None
 
     walk(tree, {}, 0)
     return tuple(program), tuple(free), width, unexpanded
@@ -213,7 +224,7 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
     out: list[int] = []  # the out-masks, built when a table first reads them
     size = [n**k for k in range(width + 1)]
     full = [(1 << cells) - 1 for cells in size]
-    matrices: dict[tuple[bool, bool], int] = {}
+    matrices: dict[tuple[bool, bool, tuple[int, ...]], int] = {}  # one table per atom layout
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     for ins in program:
@@ -245,13 +256,15 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
             key = ins[2:]
             table = matrices.get(key)
             if table is None:
-                mem, left_is_top = key
+                mem, left_is_top, steps = key
                 if not mem:
                     table = int(("0" * n + "1") * n, 2)  # bits i*(n+1): the diagonal
                 else:  # block i holds the in-mask of vertex i+1, or its out-mask when left is top
                     if left_is_top and not out:
                         out = transpose(masks)
                     table = _stack(out if left_is_top else masks, n)
+                if steps:
+                    table = _broadcast(table, size[2], steps, size)
                 matrices[key] = table
             push(table)
         elif op == _DIAG:

@@ -34,7 +34,9 @@ from zfcantor.census import (
     format_row,
     non_cantor_count,
     strongly_extensive_count,
+    witness_listing,
 )
+from zfcantor.cli import main
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.semantics import evaluate_sentence
 
@@ -137,10 +139,38 @@ class TestCountAndListing:
 
     def test_a_listing_that_misses_a_witness_raises(self, monkeypatch):
         module = sys.modules["zfcantor.census"]
-        listing = module._non_cantor_counters
-        monkeypatch.setattr(module, "_non_cantor_counters", lambda n: listing(n)[1:])
+        mark = module._non_cantor_bitmap
+
+        def missing_the_first(n):
+            bitmap = mark(n)
+            i = next(i for i, byte in enumerate(bitmap) if byte)
+            bitmap[i] &= bitmap[i] - 1  # clears its lowest set bit
+            return bitmap
+
+        monkeypatch.setattr(module, "_non_cantor_bitmap", missing_the_first)
         with pytest.raises(CensusChecksumError, match="123 witnesses listed, 124 counted"):
             census(3, witnesses=True)
+        with pytest.raises(CensusChecksumError, match="123 witnesses listed, 124 counted"):
+            witness_listing(3)  # before a single counter is read
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_listing_streams_the_counters_of_the_row(self, n):
+        row, counters = witness_listing(n)
+        assert iter(counters) is counters  # an iterator, not a container
+        assert tuple(counters) == census(n, witnesses=True).non_cantor
+        assert counts(row) == counts(census(n)) and row.non_cantor == ()
+
+    def test_the_cli_writes_from_the_stream(self, monkeypatch, capsys):
+        module = sys.modules["zfcantor.census"]
+        count = module.census
+
+        def counts_only(n, *, witnesses=False):
+            assert not witnesses, "the CLI built the tuple of counters"
+            return count(n)
+
+        monkeypatch.setattr(module, "census", counts_only)
+        assert main(["census", "--n", "3", "--list-witnesses"]) == 0
+        assert capsys.readouterr().out.count("# digraph ") == 124
 
     def test_counts_out_of_order_raise(self, monkeypatch):
         module = sys.modules["zfcantor.census"]

@@ -224,11 +224,68 @@ def test_quantifier_duality(d, text, index):
 @example(Digraph(2, frozenset({(1, 1)})), "( A x2 ( x1 in x1 ) )")  # vacuous quantifier
 @example(Digraph(2, frozenset({(1, 1)})), "( x1 in x2 )")  # bare atom
 @example(Digraph(2, frozenset({(1, 1)})), "( x1 = x1 )")
+@example(  # one membership atom read at two layouts: x3 inserted above it, then x2 between
+    Digraph(3, frozenset({(1, 2), (2, 3), (3, 3)})),
+    "( E x1 ( E x2 ( A x3 ( ( ( x1 in x2 ) & ( x3 in x3 ) ) | ( ( x1 in x3 ) & ( x2 = x2 ) ) ) ) ) )",
+)
+@example(  # atoms on both sides of one connective, each broadcast at a different position
+    Digraph(3, frozenset({(1, 2), (2, 3), (1, 1)})),
+    "( A x1 ( E x2 ( A x3 ( ( x1 in x2 ) | ( x3 in x1 ) ) ) ) )",
+)
 def test_plans_do_not_change_values(d, text):
     tree = parse_text(text)
     env = {set_var(i): 1 for i in range(1, 6)}
     expected = naive_evaluate(d, tree, env)
     assert evaluate(d, tree, env) == expected
+
+
+def _children(program):
+    """(instruction, its child instructions) for each instruction of a post-order program."""
+    stack, pairs = [], []
+    for ins in program:
+        arity = 2 if semantics._AND <= ins[0] <= semantics._IFF else 0 if ins[0] <= semantics._MATRIX else 1
+        children = tuple(stack[len(stack) - arity :])
+        del stack[len(stack) - arity :]
+        pairs.append((ins, children))
+        stack.append(ins)
+    return pairs
+
+
+class TestAtomLayouts:
+    """Two-variable atoms are broadcast by their own instruction, once per layout and evaluation."""
+
+    def test_phi_broadcasts_46_times_per_evaluation(self, monkeypatch):
+        phi, calls = emit_phi(), []
+        broadcast = semantics._broadcast
+        monkeypatch.setattr(semantics, "_broadcast", lambda *args: calls.append(args) or broadcast(*args))
+        d = Digraph.from_masks([3, 5, 6, 1])
+        evaluate_sentence(d, phi)
+        assert len(calls) == 46
+        program, _, width, _ = phi._plan
+        assert (len(program), width) == (124, 5)
+        calls.clear()
+        assert evaluate_sentence(d, phi) == DigraphAnalysis(d).is_cantor()
+        assert len(calls) == 46  # the atom tables live for one evaluation
+
+    def test_no_binary_instruction_broadcasts_a_matrix_atom(self):
+        program = emit_phi()._plan[0]
+        pairs = [(ins, kids) for ins, kids in _children(program) if len(kids) == 2]
+        assert len(pairs) == 42
+        for ins, (left, right) in pairs:
+            assert not (left[0] == semantics._MATRIX and ins[3]), ins
+            assert not (right[0] == semantics._MATRIX and ins[5]), ins
+        layouts = {ins[2:] for ins in program if ins[0] == semantics._MATRIX}
+        assert len(layouts) == 9 and all(steps for _, _, steps in layouts)
+
+    def test_a_predicate_beside_relation_atoms_still_names_itself(self):
+        sus = [PredicateSignature("SUS", 2)]
+        texts = [
+            "( A x1 ( A x2 ( ( x1 in x2 ) & SUS ( x1 ; x2 ) ) ) )",  # the predicate emits no instruction
+            "( A x1 ( A x2 ( A x3 ( ( x1 in x2 ) & ( SUS ( x3 ; ?y ) | ( x2 = x3 ) ) ) ) ) )",
+        ]
+        for text in texts:
+            with pytest.raises(PredicateNotExpanded, match="predicate atom SUS cannot be evaluated"):
+                evaluate(edgeless(2), parse_text(text, sus), {new_var("y"): 1})
 
 
 def test_a_dropped_tree_never_lends_its_plan():
