@@ -42,8 +42,8 @@ The module imports only ``digraphs`` and ``records``, and ``digraphs``
 imports it back for ``Digraph.analysis``.  The sentence side (the
 Cantor sentence, the formula tree and its evaluator) is imported by
 the two calls that need it, ``is_cantor(d, method="phi")`` and
-``DigraphAnalysis.predicate``, each of which binds it once on its first
-call, so the census and the semantic verdict never load it.
+``DigraphAnalysis.predicate``, by a function-local import, so the census
+and the semantic verdict never load it.
 """
 from __future__ import annotations
 
@@ -229,10 +229,6 @@ def masks_strongly_extensive(masks) -> bool:
 # One digraph
 
 
-# (PREDICATE_ARITIES, ArityMismatch, UnknownPredicate), imported by the first predicate call
-_predicate_side = None
-
-
 class DigraphAnalysis:
     """The kernel's tables for one digraph, read through the nine predicates.
 
@@ -303,15 +299,11 @@ class DigraphAnalysis:
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
         """Evaluate one of the nine predicates directly on the digraph."""
-        global _predicate_side
-        if _predicate_side is None:
-            from .cantor import PREDICATE_ARITIES
-            from .formulas import ArityMismatch, UnknownPredicate
+        from .cantor import PREDICATE_ARITIES
+        from .formulas import ArityMismatch, UnknownPredicate
 
-            _predicate_side = PREDICATE_ARITIES, ArityMismatch, UnknownPredicate
-        arities, ArityMismatch, UnknownPredicate = _predicate_side
         # position 1: the predicate name's place in `NAME ( args )`
-        arity = arities.get(name)
+        arity = PREDICATE_ARITIES.get(name)
         if arity is None:
             raise UnknownPredicate(1, f"predicate {name!r} is not one of the nine")
         if len(args) != arity:
@@ -355,10 +347,6 @@ def extract_surjection(digraph: Digraph, u: int, v: int) -> SurjectionWitness:
     return digraph.analysis.extract_surjection(u, v)
 
 
-# (emit_phi, evaluate_sentence), imported by the first sentence verdict
-_sentence_side = None
-
-
 def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     """No vertex surjects onto any vertex's power set.
 
@@ -371,13 +359,9 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     if method == "semantic":
         return digraph.analysis.is_cantor()
     if method == "phi":
-        global _sentence_side
-        if _sentence_side is None:
-            from .cantor import emit_phi
-            from .semantics import evaluate_sentence
+        from .cantor import emit_phi
+        from .semantics import evaluate_sentence
 
-            _sentence_side = emit_phi, evaluate_sentence
-        emit_phi, evaluate_sentence = _sentence_side
         return evaluate_sentence(digraph, emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 

@@ -29,7 +29,9 @@ or more bits, asks ``analysis.find_surjection`` for a witness, and marks
 each witness, its stand-ins expanded over every such mask, in a bitmap
 of 2^(n*n) bits that a generator reads in counter order.  The bitmap's
 popcount must equal the count (``CensusChecksumError``), so the two
-passes check each other.
+passes check each other.  ``digraph_from_counter`` and ``counter_text``
+read a counter back as a digraph and as its text, so no other module
+knows the counter's bit order.
 
 The strongly extensive column is the closed form
 ``strongly_extensive_count``, checked against the count by strongly
@@ -41,7 +43,7 @@ import time
 from functools import lru_cache
 from itertools import chain, combinations, compress, permutations, product
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .analysis import find_surjection, unique_vertices
 from .digraphs import Digraph, SizeGuardExceeded, transpose
@@ -56,26 +58,17 @@ class CensusChecksumError(RuntimeError):
 
 
 class CensusRow(Record):
-    """One census row.
+    """One census row."""
 
-    ``non_cantor`` holds the counters of the non-Cantor digraphs, in
-    counter order, when asked for; ``==``, ``hash`` and ``repr`` leave it out.
-    """
+    __slots__ = _fields = ("n", "total", "strongly_extensive", "cantor", "elapsed_ms")
 
-    __slots__ = ("n", "total", "strongly_extensive", "cantor", "elapsed_ms", "non_cantor")
-    _fields = __slots__[:5]
-
-    def __init__(self, n: int, total: int, strongly_extensive: int, cantor: int, elapsed_ms: float, non_cantor=()):
+    def __init__(self, n: int, total: int, strongly_extensive: int, cantor: int, elapsed_ms: float):
         init = object.__setattr__
         init(self, "n", n)
         init(self, "total", total)
         init(self, "strongly_extensive", strongly_extensive)
         init(self, "cantor", cantor)
         init(self, "elapsed_ms", elapsed_ms)
-        init(self, "non_cantor", non_cantor)
-
-    def __reduce__(self):
-        return CensusRow, (*self._key(self), self.non_cantor)
 
 
 def digraph_from_counter(n: int, counter: int) -> Digraph:
@@ -83,6 +76,22 @@ def digraph_from_counter(n: int, counter: int) -> Digraph:
     # the n bits from (u-1)*n on are the out-mask of u
     full = (1 << n) - 1
     return Digraph.from_masks(transpose([counter >> u * n & full for u in range(n)]))
+
+
+def counter_text(n: int) -> Callable[[int], str]:
+    """A function from a counter on [n] to its digraph's text, as dump_digraph writes it.
+
+    Bit (u-1)*n + (v-1) of a counter is the arrow (u, v), so its bits in
+    order are dump_digraph's tail-then-head order, and each byte of the
+    counter reads its lines from a table of 256 strings.
+    """
+    lines = [f"{u} {v}\n" for u in range(1, n + 1) for v in range(1, n + 1)]
+    tables = [
+        ["".join(line for j, line in enumerate(lines[i : i + 8]) if byte >> j & 1) for byte in range(256)]
+        for i in range(0, n * n, 8)
+    ]
+    head, size = f"vertices {n}\n", len(tables)
+    return lambda counter: head + "".join(map(list.__getitem__, tables, counter.to_bytes(size, "little")))
 
 
 @lru_cache(maxsize=None)
@@ -197,17 +206,13 @@ def _non_cantor_bitmap(n: int) -> bytearray:
     return bitmap
 
 
-def census(n: int, jobs: int = 1, *, witnesses: bool = False) -> CensusRow:
+def census(n: int, jobs: int = 1) -> CensusRow:
     """Count strongly extensive and Cantor digraphs on [n], 1 <= n <= 7.
 
-    With ``witnesses`` (n <= 5) the row also holds the counters of ``witness_listing``
-    as a tuple.  ``jobs`` must be at least 1 and has no other effect.
+    ``jobs`` must be at least 1 and has no other effect.
     """
     if jobs < 1:
         raise SizeGuardExceeded(f"jobs must be >= 1, got {jobs}")
-    if witnesses:
-        row, counters = witness_listing(n)
-        return CensusRow(*row._key(row), tuple(counters))
     if not 1 <= n <= HARD_MAX_N:
         raise SizeGuardExceeded(f"n={n} is outside [1, {HARD_MAX_N}]")
     total = 2 ** (n * n)

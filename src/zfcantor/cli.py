@@ -216,24 +216,8 @@ def cmd_omega(args) -> int:
     return 0
 
 
-def counter_text(n: int):
-    """A function from a counter on [n] to its digraph's text, as dump_digraph writes it.
-
-    Bit (u-1)*n + (v-1) of a counter is the arrow (u, v), so its bits in
-    order are dump_digraph's tail-then-head order, and each byte of the
-    counter reads its lines from a table of 256 strings.
-    """
-    lines = [f"{u} {v}\n" for u in range(1, n + 1) for v in range(1, n + 1)]
-    tables = [
-        ["".join(line for j, line in enumerate(lines[i : i + 8]) if byte >> j & 1) for byte in range(256)]
-        for i in range(0, n * n, 8)
-    ]
-    head, size = f"vertices {n}\n", len(tables)
-    return lambda counter: head + "".join(map(list.__getitem__, tables, counter.to_bytes(size, "little")))
-
-
 def cmd_census(args) -> int:
-    from .census import census, format_row, witness_listing
+    from .census import census, counter_text, format_row, witness_listing
 
     row, counters = witness_listing(args.n) if args.list_witnesses else (census(args.n), ())
     print(format_row(row))

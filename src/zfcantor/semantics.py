@@ -29,9 +29,10 @@ The axis layout of every node, the broadcast steps and the free
 variables depend on the tree alone, so a tree's first evaluation
 compiles them into a plan kept in the tree's ``_plan`` slot.  Threads
 racing on that evaluation compile equal plans and the slot keeps one, so
-no lock is needed; a copy of a tree compiles its own.  No table may
-exceed MAX_TABLE_CELLS cells; the bound is checked from the plan before
-any table is built.
+no lock is needed; a copy of a tree compiles its own.  A tree with a
+predicate atom compiles to no plan: its every evaluation raises
+PredicateNotExpanded.  No table may exceed MAX_TABLE_CELLS cells; the
+bound is checked from the plan before any table is built.
 """
 from __future__ import annotations
 
@@ -88,10 +89,9 @@ _EXISTS, _FORALL = 9, 10  # (op, k)
 _BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
-# A plan: (program, free variables, width, name of the first predicate
-# atom or None).  A plain tuple, since a dataclass costs a millisecond at
-# import.
-_Plan = tuple[tuple[tuple, ...], tuple[Symbol, ...], int, str | None]
+# A plan: (program, free variables, width).  A plain tuple, since a
+# dataclass costs a millisecond at import.
+_Plan = tuple[tuple[tuple, ...], tuple[Symbol, ...], int]
 
 
 def _steps(child: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,7 +107,6 @@ def _compile(tree: Formula) -> _Plan:
     program: list[tuple] = []
     free: dict[Symbol, int] = {}  # free variable -> its index in the plan's free tuple
     width = 0
-    unexpanded: str | None = None
 
     def index(sym: Symbol) -> int:
         return free.setdefault(sym, len(free))
@@ -126,7 +125,6 @@ def _compile(tree: Formula) -> _Plan:
         scope maps each variable to the depth of its binder; depth counts
         the quantifiers above node.
         """
-        nonlocal unexpanded
         if isinstance(node, RelationAtom):
             mem = isinstance(node, Membership)
             left, right = scope.get(node.left), scope.get(node.right)
@@ -139,12 +137,8 @@ def _compile(tree: Formula) -> _Plan:
             if left == right:
                 return emit((_DIAG, 1, mem), (left,)), None
             return emit((_MATRIX, 2, mem, left > right, ()), tuple(sorted((left, right)))), len(program) - 1
-        if isinstance(node, PredicateAtom):  # only its free variables matter: evaluate rejects the plan
-            unexpanded = unexpanded or node.name
-            for sym in node.args:
-                if sym not in scope:
-                    index(sym)
-            return (), None
+        if isinstance(node, PredicateAtom):
+            raise PredicateNotExpanded(f"predicate atom {node.name} cannot be evaluated")
         if isinstance(node, Not):
             axes = walk(node.child, scope, depth)[0]
             return emit((_NOT, len(axes)), axes), None
@@ -166,7 +160,7 @@ def _compile(tree: Formula) -> _Plan:
         return emit((_BINARY_OPS[type(node)], len(axes), *sides), axes), None
 
     walk(tree, {}, 0)
-    return tuple(program), tuple(free), width, unexpanded
+    return tuple(program), tuple(free), width
 
 
 def _plan(tree: Formula) -> _Plan:
@@ -288,9 +282,7 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
 
 def evaluate(digraph: Digraph, tree: Formula, env: Mapping[Symbol, int] | None = None) -> bool:
     """Decide whether the digraph satisfies the formula under env."""
-    program, free, width, unexpanded = _plan(tree)
-    if unexpanded is not None:
-        raise PredicateNotExpanded(f"predicate atom {unexpanded} cannot be evaluated")
+    program, free, width = _plan(tree)
     env = env or {}
     unbound = [sym.token for sym in free if sym not in env]
     if unbound:

@@ -156,11 +156,8 @@ LPAREN = Symbol(SymbolKind.LPAREN)
 RPAREN = Symbol(SymbolKind.RPAREN)
 SEMICOLON = Symbol(SymbolKind.SEMICOLON)
 
-FIXED_SYMBOLS = {
-    sym.token: sym
-    for sym in (MEMBERSHIP, EQUALITY, NEGATION, IMPLICATION, BICONDITIONAL, CONJUNCTION,
-                DISJUNCTION, EXISTS, FORALL, LPAREN, RPAREN, SEMICOLON)
-}
+# Interned, so these are the constants above, in _FIXED_TOKENS order.
+FIXED_SYMBOLS = {tok: Symbol(kind) for kind, tok in _FIXED_TOKENS.items()}
 
 
 class PredicateSignature(Record):

@@ -36,7 +36,6 @@ from zfcantor.census import (
     strongly_extensive_count,
     witness_listing,
 )
-from zfcantor.cli import main
 from zfcantor.digraphs import Digraph, SizeGuardExceeded
 from zfcantor.semantics import evaluate_sentence
 
@@ -105,7 +104,7 @@ class TestCensus:
         with pytest.raises(SizeGuardExceeded, match="n=8 is outside \\[1, 7\\]$"):
             census(8)
         with pytest.raises(SizeGuardExceeded, match="n=6 is outside \\[1, 5\\] for a witness listing"):
-            census(6, witnesses=True)
+            witness_listing(6)
 
     def test_monotone_inequalities(self):
         for n in (1, 2, 3):
@@ -133,9 +132,9 @@ class TestCountAndListing:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts_equal_the_counter_order_pass(self, n):
         oracle_counts, oracle_non_cantor = counter_order_census(n)
-        row = census(n, witnesses=True)
+        row, counters = witness_listing(n)
         assert counts(census(n)) == counts(row) == oracle_counts == FROZEN[n]
-        assert row.non_cantor == oracle_non_cantor
+        assert tuple(counters) == oracle_non_cantor
 
     def test_a_listing_that_misses_a_witness_raises(self, monkeypatch):
         module = sys.modules["zfcantor.census"]
@@ -149,28 +148,18 @@ class TestCountAndListing:
 
         monkeypatch.setattr(module, "_non_cantor_bitmap", missing_the_first)
         with pytest.raises(CensusChecksumError, match="123 witnesses listed, 124 counted"):
-            census(3, witnesses=True)
-        with pytest.raises(CensusChecksumError, match="123 witnesses listed, 124 counted"):
             witness_listing(3)  # before a single counter is read
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_the_listing_streams_the_counters_of_the_row(self, n):
         row, counters = witness_listing(n)
         assert iter(counters) is counters  # an iterator, not a container
-        assert tuple(counters) == census(n, witnesses=True).non_cantor
-        assert counts(row) == counts(census(n)) and row.non_cantor == ()
+        assert tuple(counters) == counter_order_census(n)[1]
+        assert counts(row) == counts(census(n))
 
-    def test_the_cli_writes_from_the_stream(self, monkeypatch, capsys):
-        module = sys.modules["zfcantor.census"]
-        count = module.census
-
-        def counts_only(n, *, witnesses=False):
-            assert not witnesses, "the CLI built the tuple of counters"
-            return count(n)
-
-        monkeypatch.setattr(module, "census", counts_only)
-        assert main(["census", "--n", "3", "--list-witnesses"]) == 0
-        assert capsys.readouterr().out.count("# digraph ") == 124
+    def test_the_census_lists_no_witnesses(self):
+        with pytest.raises(TypeError):
+            census(3, witnesses=True)
 
     def test_counts_out_of_order_raise(self, monkeypatch):
         module = sys.modules["zfcantor.census"]
@@ -281,7 +270,7 @@ class TestKernelAgainstOracles:
             assert (is_strongly_extensive(d), DigraphAnalysis(d).is_cantor()) == expected
 
     def test_naive_oracle_on_sampled_non_cantor_counters(self):
-        non_cantor = census(4, witnesses=True).non_cantor
+        non_cantor = list(witness_listing(4)[1])
         assert len(non_cantor) == FROZEN[4][0] - FROZEN[4][2]
         for counter in random.Random(7).sample(non_cantor, 50):
             assert not naive_is_cantor(digraph_from_counter(4, counter)), counter
@@ -294,6 +283,6 @@ class TestKernelAgainstOracles:
             assert kernel_verdicts(4, counter)[1] == evaluate_sentence(digraph, phi)
 
     def test_witnesses_match_the_counting_pass(self):
-        row = census(3, witnesses=True)
-        assert len(row.non_cantor) == row.total - row.cantor
-        assert census(3).non_cantor == ()
+        row, counters = witness_listing(3)
+        assert sum(1 for _ in counters) == row.total - row.cantor
+        assert counts(row) == counts(census(3))

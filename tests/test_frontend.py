@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from naive import naive_parse, naive_tokenize
 from strategies import NO_SHRINK, PREDICATE_SIGNATURES, formula_text
-from zfcantor import formulas
+from zfcantor import formulas, symbols
 from zfcantor.formulas import (
     MAX_DEPTH,
     MalformedVariable,
@@ -244,6 +244,17 @@ def test_constructed_symbols_are_the_interned_ones():
     assert Symbol(SymbolKind.MEMBERSHIP) == MEMBERSHIP
     assert set_var(3) != set_var(4) and set_var(1) != new_var("x") and set_var(1) != "x1"
     assert {set_var(3): 1}[Symbol(SymbolKind.SET_VAR, 3)] == 1
+
+
+def test_the_fixed_symbols_are_the_twelve_constants_in_order():
+    constants = [
+        symbols.MEMBERSHIP, symbols.EQUALITY, symbols.NEGATION, symbols.IMPLICATION, symbols.BICONDITIONAL,
+        symbols.CONJUNCTION, symbols.DISJUNCTION, symbols.EXISTS, symbols.FORALL, symbols.LPAREN,
+        symbols.RPAREN, symbols.SEMICOLON,
+    ]
+    assert len(FIXED_SYMBOLS) == 12
+    assert all(a is b for a, b in zip(FIXED_SYMBOLS.values(), constants, strict=True))
+    assert list(FIXED_SYMBOLS) == [sym.token for sym in constants]
 
 
 def test_symbol_spelling_and_errors_are_unchanged():

@@ -81,6 +81,18 @@ class TestEvaluate:
         with pytest.raises(PredicateNotExpanded):
             evaluate(edgeless(1), tree, {new_var("x"): 1, new_var("y"): 1})
 
+    def test_a_predicate_atom_is_named_before_a_free_variable(self):
+        tree = parse_text("( SUS ( ?x ; ?y ) & ( x1 in x1 ) )", [PredicateSignature("SUS", 2)])
+        with pytest.raises(PredicateNotExpanded, match="predicate atom SUS cannot be evaluated"):
+            evaluate_sentence(edgeless(1), tree)
+
+    def test_a_rejected_tree_keeps_no_plan(self):
+        tree = parse_text("( E x1 SUS ( x1 ; x1 ) )", [PredicateSignature("SUS", 2)])
+        for _ in range(2):
+            with pytest.raises(PredicateNotExpanded, match="predicate atom SUS cannot be evaluated"):
+                evaluate_sentence(edgeless(2), tree)
+            assert not hasattr(tree, "_plan")
+
 
 # Each text reads the cell (x3, x4) of the membership relation through one
 # table shape: both sides bound, one side bound (left, then right), one
@@ -261,7 +273,7 @@ class TestAtomLayouts:
         d = Digraph.from_masks([3, 5, 6, 1])
         evaluate_sentence(d, phi)
         assert len(calls) == 46
-        program, _, width, _ = phi._plan
+        program, _, width = phi._plan
         assert (len(program), width) == (124, 5)
         calls.clear()
         assert evaluate_sentence(d, phi) == DigraphAnalysis(d).is_cantor()
