@@ -38,14 +38,19 @@ module-level ``is_cantor``, ``cantor_witness`` and ``extract_surjection``
 read.  ``omega_prefix`` writes the construction in closed form: vertex v
 of level [lo, hi] has the in-mask v - lo.
 
-The module imports only ``digraphs`` and ``records``, and ``digraphs``
-imports it back for ``Digraph.analysis``.  The sentence side (the
-Cantor sentence, the formula tree and its evaluator) is imported by
-the two calls that need it, ``is_cantor(d, method="phi")`` and
-``DigraphAnalysis.predicate``, by a function-local import, so the census
-and the semantic verdict never load it.
+The module imports only ``digraphs``, ``records`` and its own package,
+and ``digraphs`` imports it back for ``Digraph.analysis``.  The sentence
+side (the Cantor sentence, the formula tree and its evaluator) is read
+by the two calls that need it, ``is_cantor(d, method="phi")`` and
+``DigraphAnalysis.predicate``, as attributes of the package: importing a
+submodule sets its attribute there, and the package imports a submodule
+on the first read of one it has not loaded (PEP 562).  So the census and
+the semantic verdict never load the sentence side, and a later call
+pays two attribute reads, not an import statement.
 """
 from __future__ import annotations
+
+import zfcantor as _package  # bound while the package initialises; read only at call time
 
 from .digraphs import Digraph, SizeGuardExceeded, mask_vertices  # re-exports the one guard error
 from .records import InvalidInput, Record, lazy
@@ -299,15 +304,12 @@ class DigraphAnalysis:
 
     def predicate(self, name: str, args: tuple[int, ...]) -> bool:
         """Evaluate one of the nine predicates directly on the digraph."""
-        from .cantor import PREDICATE_ARITIES
-        from .formulas import ArityMismatch, UnknownPredicate
-
         # position 1: the predicate name's place in `NAME ( args )`
-        arity = PREDICATE_ARITIES.get(name)
+        arity = _package.cantor.PREDICATE_ARITIES.get(name)
         if arity is None:
-            raise UnknownPredicate(1, f"predicate {name!r} is not one of the nine")
+            raise _package.formulas.UnknownPredicate(1, f"predicate {name!r} is not one of the nine")
         if len(args) != arity:
-            raise ArityMismatch(1, f"{name} takes {arity} arguments, got {len(args)}")
+            raise _package.formulas.ArityMismatch(1, f"{name} takes {arity} arguments, got {len(args)}")
         for a in args:
             self.check_vertex(a)
         return getattr(self, name.lower())(*args)
@@ -359,10 +361,7 @@ def is_cantor(digraph: Digraph, method: str = "semantic") -> bool:
     if method == "semantic":
         return digraph.analysis.is_cantor()
     if method == "phi":
-        from .cantor import emit_phi
-        from .semantics import evaluate_sentence
-
-        return evaluate_sentence(digraph, emit_phi())
+        return _package.semantics.evaluate_sentence(digraph, _package.cantor.emit_phi())
     raise ValueError(f"method must be 'semantic' or 'phi', got {method!r}")
 
 

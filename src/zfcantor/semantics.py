@@ -18,21 +18,30 @@ quantifier combines the n blocks of its child's top axis.  Membership
 tables come from ``Digraph.masks``: the row of the elements of a
 vertex is its in-mask, and the membership matrix stacks the in-masks,
 or the out-masks (their transpose) when the left variable is the top
-axis.  A two-variable atom under a connective is read at its parent's
-axes: the atom's instruction carries the broadcast, so an evaluation
-builds each layout of each such atom once, however often the formula
-reads it.  The cost is O(|formula| * n^w) for w the most axes of any
-table (Vardi 1995, "On the complexity of bounded-variable queries"); w
-is 5 for the Cantor sentence.
+axis.
 
-The axis layout of every node, the broadcast steps and the free
-variables depend on the tree alone, so a tree's first evaluation
-compiles them into a plan kept in the tree's ``_plan`` slot.  Threads
-racing on that evaluation compile equal plans and the slot keeps one, so
-no lock is needed; a copy of a tree compiles its own.  A tree with a
-predicate atom compiles to no plan: its every evaluation raises
-PredicateNotExpanded.  No table may exceed MAX_TABLE_CELLS cells; the
-bound is checked from the plan before any table is built.
+Evaluation is lazy.  Of the two operands of & and |, the one with fewer
+instructions runs first.  After the first operand of &, | and ->, one
+instruction checks whether its table decides the node: an all-false &
+operand, an all-false -> antecedent or an all-true | operand.  If so,
+the node's table (all-false, or all-true at the node's own axes)
+replaces it, and the run jumps past the second operand and the node.
+Every broadcast goes through a memo that lives for one evaluation, keyed
+by the table, its axis count and the positions inserted, so each layout
+of a table, such as a two-variable atom read under several connectives,
+is built once however often the formula reads it.  When no operand
+decides its node, the cost is O(|formula| * n^w) for w the most axes of
+any table (Vardi 1995, "On the complexity of bounded-variable queries");
+w is 5 for the Cantor sentence, and a shortcut only lowers the cost.
+
+The axis layout of every node, the broadcast steps, the operand order,
+the jumps and the free variables depend on the tree alone, so a tree's
+first evaluation compiles them into a plan kept in the tree's ``_plan``
+slot.  Threads racing on that evaluation compile equal plans and the
+slot keeps one, so no lock is needed; a copy of a tree compiles its own.
+A tree with a predicate atom compiles to no plan: its every evaluation
+raises PredicateNotExpanded.  No table may exceed MAX_TABLE_CELLS cells;
+the bound is checked from the plan before any table is built.
 """
 from __future__ import annotations
 
@@ -81,10 +90,14 @@ class NotASentence(SemanticsError):
 _CONST = 0  # (op, k, is_membership, left, right): both sides bound by env, as indices into free
 _ROW = 1  # (op, k, is_membership, index into free, bound_is_left): one side bound by env
 _DIAG = 2  # (op, k, is_membership): both sides one quantified variable
-_MATRIX = 3  # (op, k, is_membership, left_is_top, steps): two quantified variables, read at the parent's axes
+_MATRIX = 3  # (op, k, is_membership, left_is_top): two quantified variables
 _NOT = 4  # (op, k)
 _AND, _OR, _IMPLIES, _IFF = 5, 6, 7, 8  # (op, k, left k, left steps, right k, right steps)
 _EXISTS, _FORALL = 9, 10  # (op, k)
+# (op, k, left k, binary op, jump) after the first operand of &, | and ->: when that
+# table decides the node, it becomes the node's table and jump skips the second
+# operand and the node's own instruction.
+_SKIP = 11
 
 _BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
@@ -104,23 +117,13 @@ def _steps(child: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _compile(tree: Formula) -> _Plan:
-    program: list[tuple] = []
     free: dict[Symbol, int] = {}  # free variable -> its index in the plan's free tuple
-    width = 0
 
     def index(sym: Symbol) -> int:
         return free.setdefault(sym, len(free))
 
-    def emit(instruction: tuple, axes: tuple[int, ...]) -> tuple[int, ...]:
-        nonlocal width
-        width = max(width, len(axes))
-        program.append(instruction)
-        return axes
-
-    def walk(node: Formula, scope: dict[Symbol, int], depth: int) -> tuple[tuple[int, ...], int | None]:
-        """Append the node's instructions; return its axes as binder depths,
-        ascending, and the index of its instruction if node is a _MATRIX
-        atom, else None.
+    def walk(node: Formula, scope: dict[Symbol, int], depth: int) -> tuple[tuple[int, ...], list[tuple]]:
+        """The node's axes as binder depths, ascending, and its instructions.
 
         scope maps each variable to the depth of its binder; depth counts
         the quantifiers above node.
@@ -129,38 +132,38 @@ def _compile(tree: Formula) -> _Plan:
             mem = isinstance(node, Membership)
             left, right = scope.get(node.left), scope.get(node.right)
             if left is None and right is None:
-                return emit((_CONST, 0, mem, index(node.left), index(node.right)), ()), None
+                return (), [(_CONST, 0, mem, index(node.left), index(node.right))]
             if left is None:
-                return emit((_ROW, 1, mem, index(node.left), True), (right,)), None
+                return (right,), [(_ROW, 1, mem, index(node.left), True)]
             if right is None:
-                return emit((_ROW, 1, mem, index(node.right), False), (left,)), None
+                return (left,), [(_ROW, 1, mem, index(node.right), False)]
             if left == right:
-                return emit((_DIAG, 1, mem), (left,)), None
-            return emit((_MATRIX, 2, mem, left > right, ()), tuple(sorted((left, right)))), len(program) - 1
+                return (left,), [(_DIAG, 1, mem)]
+            return tuple(sorted((left, right))), [(_MATRIX, 2, mem, left > right)]
         if isinstance(node, PredicateAtom):
             raise PredicateNotExpanded(f"predicate atom {node.name} cannot be evaluated")
         if isinstance(node, Not):
-            axes = walk(node.child, scope, depth)[0]
-            return emit((_NOT, len(axes)), axes), None
+            axes, code = walk(node.child, scope, depth)
+            return axes, code + [(_NOT, len(axes))]
         if isinstance(node, Quantifier):
-            axes = walk(node.child, {**scope, node.var: depth}, depth + 1)[0]
+            axes, code = walk(node.child, {**scope, node.var: depth}, depth + 1)
             if not axes or axes[-1] != depth:
-                return axes, None  # vacuous: over a nonempty domain the child is its own value
-            return emit((_EXISTS if node.symbol is EXISTS else _FORALL, len(axes) - 1), axes[:-1]), None
-        left, left_atom = walk(node.left, scope, depth)
-        right, right_atom = walk(node.right, scope, depth)
+                return axes, code  # vacuous: over a nonempty domain the child is its own value
+            return axes[:-1], code + [(_EXISTS if node.symbol is EXISTS else _FORALL, len(axes) - 1)]
+        op = _BINARY_OPS[type(node)]
+        left, left_code = walk(node.left, scope, depth)
+        right, right_code = walk(node.right, scope, depth)
+        if op in (_AND, _OR) and len(right_code) < len(left_code):  # the cheaper operand first
+            left, left_code, right, right_code = right, right_code, left, left_code
         axes = tuple(sorted(set(left) | set(right)))
-        sides = []
-        for child, atom in ((left, left_atom), (right, right_atom)):
-            steps = _steps(child, axes)
-            if atom is not None and steps:  # the atom is read at these axes: steps move to it
-                program[atom] = (_MATRIX, len(axes), *program[atom][2:4], steps)
-                child, steps = axes, ()
-            sides += [len(child), steps]
-        return emit((_BINARY_OPS[type(node)], len(axes), *sides), axes), None
+        k = len(axes)
+        node_ins = (op, k, len(left), _steps(left, axes), len(right), _steps(right, axes))
+        if op == _IFF:
+            return axes, left_code + right_code + [node_ins]
+        return axes, left_code + [(_SKIP, k, len(left), op, len(right_code) + 1)] + right_code + [node_ins]
 
-    walk(tree, {}, 0)
-    return tuple(program), tuple(free), width
+    program = walk(tree, {}, 0)[1]
+    return tuple(program), tuple(free), max(ins[1] for ins in program)  # every table is some instruction's
 
 
 def _plan(tree: Formula) -> _Plan:
@@ -218,20 +221,39 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
     out: list[int] = []  # the out-masks, built when a table first reads them
     size = [n**k for k in range(width + 1)]
     full = [(1 << cells) - 1 for cells in size]
-    matrices: dict[tuple[bool, bool, tuple[int, ...]], int] = {}  # one table per atom layout
+    matrices: dict[tuple[bool, bool], int] = {}  # (is_membership, left_is_top) -> its table
+    broadcasts: dict[tuple[int, int, tuple[int, ...]], int] = {}  # (table, k, steps) -> its broadcast
+
+    def widen(table: int, k: int, steps: tuple[int, ...]) -> int:
+        key = (table, k, steps)
+        wide = broadcasts.get(key)
+        if wide is None:
+            wide = broadcasts[key] = _broadcast(table, size[k], steps, size)
+        return wide
+
     stack: list[int] = []
     push, pop = stack.append, stack.pop
-    for ins in program:
+    pc, end = 0, len(program)
+    while pc < end:
+        ins = program[pc]
+        pc += 1
         op, k = ins[0], ins[1]
         if op >= _AND:
-            if op <= _IFF:
+            if op == _SKIP:
+                _, _, lk, node, jump = ins
+                top = stack[-1]
+                if (top == full[lk]) if node == _OR else not top:
+                    if node != _AND:  # an all-false & operand is already the all-false table
+                        stack[-1] = full[k]
+                    pc += jump
+            elif op <= _IFF:
                 _, _, lk, lsteps, rk, rsteps = ins
                 right = pop()
                 left = pop()
                 if lsteps:
-                    left = _broadcast(left, size[lk], lsteps, size)
+                    left = widen(left, lk, lsteps)
                 if rsteps:
-                    right = _broadcast(right, size[rk], rsteps, size)
+                    right = widen(right, rk, rsteps)
                 if op == _AND:
                     push(left & right)
                 elif op == _OR:
@@ -250,15 +272,13 @@ def _run(program: tuple[tuple, ...], width: int, digraph: Digraph, values: list[
             key = ins[2:]
             table = matrices.get(key)
             if table is None:
-                mem, left_is_top, steps = key
+                mem, left_is_top = key
                 if not mem:
                     table = int(("0" * n + "1") * n, 2)  # bits i*(n+1): the diagonal
                 else:  # block i holds the in-mask of vertex i+1, or its out-mask when left is top
                     if left_is_top and not out:
                         out = transpose(masks)
                     table = _stack(out if left_is_top else masks, n)
-                if steps:
-                    table = _broadcast(table, size[2], steps, size)
                 matrices[key] = table
             push(table)
         elif op == _DIAG:

@@ -154,8 +154,7 @@ class TestCountAndListing:
     def test_the_listing_streams_the_counters_of_the_row(self, n):
         row, counters = witness_listing(n)
         assert iter(counters) is counters  # an iterator, not a container
-        assert tuple(counters) == counter_order_census(n)[1]
-        assert counts(row) == counts(census(n))
+        assert sum(1 for _ in counters) == row.total - row.cantor
 
     def test_the_census_lists_no_witnesses(self):
         with pytest.raises(TypeError):
@@ -276,11 +275,16 @@ class TestKernelAgainstOracles:
             assert not naive_is_cantor(digraph_from_counter(4, counter)), counter
 
     def test_sentence_on_sampled_counters(self):
+        # as many non-Cantor counters as Cantor ones: a wrong shortcut in the sentence's
+        # evaluation shows where a witness makes it run deep
+        non_cantor = set(witness_listing(4)[1])
         rng = random.Random(494)
+        cantor = [c for c in range(2**16) if c not in non_cantor]
+        samples = rng.sample(sorted(non_cantor), 200) + rng.sample(cantor, 200)
         phi = emit_phi()
-        for counter in (rng.randrange(2**16) for _ in range(30)):
+        for counter in samples:
             digraph = digraph_from_counter(4, counter)
-            assert kernel_verdicts(4, counter)[1] == evaluate_sentence(digraph, phi)
+            assert evaluate_sentence(digraph, phi) == kernel_verdicts(4, counter)[1] == (counter not in non_cantor)
 
     def test_witnesses_match_the_counting_pass(self):
         row, counters = witness_listing(3)

@@ -244,6 +244,19 @@ def test_quantifier_duality(d, text, index):
     Digraph(3, frozenset({(1, 2), (2, 3), (1, 1)})),
     "( A x1 ( E x2 ( A x3 ( ( x1 in x2 ) | ( x3 in x1 ) ) ) ) )",
 )
+@example(  # an all-false & operand over one axis decides a node over two
+    Digraph(2, frozenset({(1, 2)})), "( E x1 ( E x2 ( ( x1 in x1 ) & ( x2 in x1 ) ) ) )",
+)
+@example(  # an all-false -> antecedent over one axis: the node is true at both axes
+    Digraph(2, frozenset({(1, 2)})), "( A x1 ( A x2 ( ( x1 in x1 ) -> ( x2 in x1 ) ) ) )",
+)
+@example(  # an all-true | operand over one axis: the node is true at both axes
+    Digraph(2, frozenset({(1, 2)})), "( A x1 ( A x2 ( ( x1 = x1 ) | ( x2 in x1 ) ) ) )",
+)
+@example(  # the cheaper right operand of & runs first and is broadcast where the left was
+    Digraph(3, frozenset({(1, 2), (2, 2), (3, 1)})),
+    "( E x1 ( E x2 ( A x3 ( ( ( x3 in x2 ) | ( x2 in x1 ) ) & ( x3 in x1 ) ) ) ) )",
+)
 def test_plans_do_not_change_values(d, text):
     tree = parse_text(text)
     env = {set_var(i): 1 for i in range(1, 6)}
@@ -251,43 +264,83 @@ def test_plans_do_not_change_values(d, text):
     assert evaluate(d, tree, env) == expected
 
 
-def _children(program):
-    """(instruction, its child instructions) for each instruction of a post-order program."""
-    stack, pairs = [], []
-    for ins in program:
-        arity = 2 if semantics._AND <= ins[0] <= semantics._IFF else 0 if ins[0] <= semantics._MATRIX else 1
-        children = tuple(stack[len(stack) - arity :])
-        del stack[len(stack) - arity :]
-        pairs.append((ins, children))
-        stack.append(ins)
-    return pairs
+def _size(program, i):
+    """The instruction count of the subtree whose table instruction i makes."""
+    need, j = 1, i
+    while need:
+        op = program[j][0]
+        if op != semantics._SKIP:  # a skip that does not jump leaves the stack as it was
+            pops = 2 if semantics._AND <= op <= semantics._IFF else 0 if op <= semantics._MATRIX else 1
+            need += pops - 1
+        j -= 1
+    return i - j
 
 
-class TestAtomLayouts:
-    """Two-variable atoms are broadcast by their own instruction, once per layout and evaluation."""
+class _Counted(tuple):
+    """A program that counts the instructions an evaluation reads."""
 
-    def test_phi_broadcasts_46_times_per_evaluation(self, monkeypatch):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+class TestLazyPlan:
+    """A binary node skips the operand its first table decides; a table is broadcast once per layout."""
+
+    def test_phi_plan_keeps_width_5_and_matrix_atoms_carry_no_layout(self):
+        program, free, width = semantics._plan(emit_phi())
+        assert (free, width) == ((), 5)
+        matrices = [ins for ins in program if ins[0] == semantics._MATRIX]
+        assert matrices and all(len(ins) == 4 for ins in matrices)
+
+    def test_each_skip_lands_past_its_node(self):
+        program = semantics._plan(emit_phi())[0]
+        skips = [i for i, ins in enumerate(program) if ins[0] == semantics._SKIP]
+        binary = [ins for ins in program if semantics._AND <= ins[0] <= semantics._IFF]
+        assert len(skips) == sum(ins[0] != semantics._IFF for ins in binary)
+        for i in skips:
+            _, k, lk, op, jump = program[i]
+            node = program[i + jump]
+            assert node[:3] == (op, k, lk) and op != semantics._IFF
+            assert jump - 1 == _size(program, i + jump - 1)  # exactly the second operand is skipped
+
+    def test_and_and_or_run_the_cheaper_operand_first(self):
+        program = semantics._plan(emit_phi())[0]
+        for i, ins in enumerate(program):
+            if ins[0] == semantics._SKIP and ins[3] in (semantics._AND, semantics._OR):
+                assert _size(program, i - 1) <= _size(program, i + ins[4] - 1)
+        tree = parse_text("( ( ( x1 in x2 ) & ( x2 in x1 ) ) | ( x1 = x2 ) )")
+        assert evaluate(edgeless(2), tree, {X1: 1, X2: 1})
+        assert tree._plan[0][0] == (semantics._CONST, 0, False, 0, 1)  # the equality, moved first
+
+    def test_one_evaluation_never_broadcasts_a_layout_twice(self, monkeypatch):
         phi, calls = emit_phi(), []
         broadcast = semantics._broadcast
-        monkeypatch.setattr(semantics, "_broadcast", lambda *args: calls.append(args) or broadcast(*args))
-        d = Digraph.from_masks([3, 5, 6, 1])
-        evaluate_sentence(d, phi)
-        assert len(calls) == 46
-        program, _, width = phi._plan
-        assert (len(program), width) == (124, 5)
+        monkeypatch.setattr(semantics, "_broadcast", lambda *args: calls.append(args[:3]) or broadcast(*args))
+        rng = random.Random(33)
+        graphs = [Digraph.from_masks([3, 5, 6, 1]), all_loops(4), edgeless(3)]
+        graphs += [Digraph.from_masks(rng.randrange(2**n) for _ in range(n)) for n in (3, 4, 5, 6) for _ in range(5)]
+        for d in graphs:
+            calls.clear()
+            assert evaluate_sentence(d, phi) == DigraphAnalysis(d).is_cantor()
+            assert calls and len(set(calls)) == len(calls), d
         calls.clear()
-        assert evaluate_sentence(d, phi) == DigraphAnalysis(d).is_cantor()
-        assert len(calls) == 46  # the atom tables live for one evaluation
+        evaluate_sentence(graphs[0], phi)
+        first = list(calls)
+        calls.clear()
+        evaluate_sentence(graphs[0], phi)
+        assert calls == first  # the broadcast tables live for one evaluation
 
-    def test_no_binary_instruction_broadcasts_a_matrix_atom(self):
-        program = emit_phi()._plan[0]
-        pairs = [(ins, kids) for ins, kids in _children(program) if len(kids) == 2]
-        assert len(pairs) == 42
-        for ins, (left, right) in pairs:
-            assert not (left[0] == semantics._MATRIX and ins[3]), ins
-            assert not (right[0] == semantics._MATRIX and ins[5]), ins
-        layouts = {ins[2:] for ins in program if ins[0] == semantics._MATRIX}
-        assert len(layouts) == 9 and all(steps for _, _, steps in layouts)
+    def test_phi_on_edgeless_16_skips_most_of_the_plan(self):
+        program, _, width = semantics._plan(emit_phi())
+        counted = _Counted(program)
+        assert semantics._run(counted, width, edgeless(16), []) is True
+        assert counted.reads * 4 < len(program)
+        counted = _Counted(program)
+        assert semantics._run(counted, width, all_loops(3), []) is False
+        assert counted.reads > len(program) // 2
 
     def test_a_predicate_beside_relation_atoms_still_names_itself(self):
         sus = [PredicateSignature("SUS", 2)]
