@@ -14,7 +14,11 @@ binder depth, the deepest most significant, so a quantifier's own
 variable is always the top axis of its child's table.  A table is a
 Python int with one bit per cell: connectives are bitwise operations
 after both children are broadcast to the union of their axes, and a
-quantifier combines the n blocks of its child's top axis.  Membership
+quantifier combines the n blocks of its child's top axis.  A broadcast
+never leaves Python ints.  Inserting an axis first spreads the table,
+moving its blocks apart with one mask and shift per bit of the block
+index, then fills each gap with copies of its block by shift-or
+doubling: O(k log n) big-int operations for a table of k axes.  Membership
 tables come from ``Digraph.masks``: the row of the elements of a
 vertex is its in-mask, and the membership matrix stacks the in-masks,
 or the out-masks (their transpose) when the left variable is the top
@@ -174,28 +178,65 @@ def _plan(tree: Formula) -> _Plan:
         return tree._plan
 
 
+# The spread masks of an insert whose result has at most _SMALL_CELLS
+# cells, kept across evaluations.  Larger masks are built on every insert,
+# one at a time, so the cache holds about 11 KB of masks after the Cantor
+# sentence at 3 to 5 vertices and at most about 160 KB for any formula.
+# Threads racing on a key build equal masks, and the dict keeps one.
+_SMALL_CELLS = 4096
+_MASKS: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}  # (n, high, low) -> its spread
+
+
+def _repeat(bits: int, count: int, period: int) -> int:
+    """count copies of bits, period apart, by shift-or doubling."""
+    have = 1
+    while 2 * have <= count:
+        bits |= bits << have * period
+        have *= 2
+    if have < count:  # the last count - have copies, over ones already there
+        bits |= bits << (count - have) * period
+    return bits
+
+
+def _spread(n: int, high: int, low: int):
+    """Yield the (mask, shift) steps that move block h of low cells from h*low to h*n*low.
+
+    Each bit b of h, top bit first, moves the block by (n-1)*low*2^b.
+    Before that step the blocks sit in groups of 2^(b+1) whose starts are
+    n*low*2^(b+1) apart, and the mask is the upper half of every group.
+    """
+    for b in reversed(range((high - 1).bit_length())):
+        half = low << b  # the cells of 2^b blocks
+        groups = -(-high >> b + 1)  # ceil(high / 2^(b+1))
+        yield _repeat(((1 << half) - 1) << half, groups, 2 * n * half), (n - 1) * half
+
+
 def _broadcast(table: int, cells: int, steps, size: list[int]) -> int:
     """Insert axes into a table; size[k] is the cell count of k axes.
 
-    The bit string of the table reads as blocks [high][low]; inserting an
-    axis repeats every low block n times, giving [high][n][low].  The
-    pattern is the same read from either end, so the string needs no
-    reversal.
+    The table reads as blocks [high][low], and inserting an axis repeats
+    every low block n times, giving [high][n][low].  Spread moves block h
+    from h*low to h*n*low, which leaves (n-1)*low zero cells above it.
+    Fill then copies each block into those cells by shift-or doubling;
+    no copy reaches the next block, so fill needs no mask.
     """
     n = size[1]
-    bits = format(table, f"0{cells}b").encode()
     for position in steps:
         low = size[position]
-        high = len(bits) // low
-        if high <= n * low:
-            bits = b"".join([bits[h * low:(h + 1) * low] * n for h in range(high)])
+        high = cells // low
+        cells *= n
+        if cells <= _SMALL_CELLS:
+            key = (n, high, low)
+            spread = _MASKS.get(key)
+            if spread is None:
+                spread = _MASKS[key] = tuple(_spread(n, high, low))
         else:
-            out = bytearray(len(bits) * n)
-            stride = n * low
-            for k in range(stride):
-                out[k::stride] = bits[k % low::low]
-            bits = out
-    return int(bits, 2)
+            spread = _spread(n, high, low)
+        for mask, shift in spread:
+            moved = table & mask
+            table = table ^ moved | moved << shift
+        table = _repeat(table, n, low)
+    return table
 
 
 def _forall(table: int, n: int, block: int) -> int:

@@ -20,6 +20,8 @@ by rest size, walking every one-bit map.
 expansion (render, rename and splice by the substitution
 operations, parse again), the oracle for the package's tree splice;
 ``naive_variable_clash`` tries the scheme ordering pair by pair.
+``naive_broadcast`` inserts axes into a truth table one cell at a time,
+the oracle for the evaluator's spread-and-fill broadcast.
 """
 from __future__ import annotations
 
@@ -99,6 +101,22 @@ def naive_evaluate(d: Digraph, tree, env) -> bool:
     if isinstance(tree, Forall):
         return all(naive_evaluate(d, tree.child, {**env, tree.var: v}) for v in d.vertices)
     raise TypeError(f"not an evaluable node: {tree!r}")
+
+
+def naive_broadcast(table: int, n: int, k: int, steps: tuple[int, ...]) -> int:
+    """A table over k axes of n cells with axes inserted at steps, read cell by cell.
+
+    Each output index is split into its axis digits, axis 0 least
+    significant; the digits at the inserted positions are dropped, and
+    the rest index the input bit.
+    """
+    out = 0
+    for index in range(n ** (k + len(steps))):
+        digits = [index // n**axis % n for axis in range(k + len(steps))]
+        kept = [digit for axis, digit in enumerate(digits) if axis not in steps]
+        if table >> sum(digit * n**axis for axis, digit in enumerate(kept)) & 1:
+            out |= 1 << index
+    return out
 
 
 def nbhd(d: Digraph, u: int) -> frozenset[int]:

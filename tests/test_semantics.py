@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from naive import naive_evaluate
+from naive import naive_broadcast, naive_evaluate
 from strategies import digraphs, formula_text, sentence_text
 from zfcantor import semantics
 from zfcantor.analysis import DigraphAnalysis
@@ -284,6 +284,45 @@ class _Counted(tuple):
     def __getitem__(self, i):
         self.reads += 1
         return tuple.__getitem__(self, i)
+
+
+def _inserts(k: int, most: int) -> list[tuple[int, ...]]:
+    """Every one- and two-position insert into k axes that ends at most axes."""
+    one = [(p,) for p in range(k + 1)]
+    two = [(p, q) for p in range(k + 1) for q in range(p + 1, k + 2)]
+    return [steps for steps in one + two if k + len(steps) <= most]
+
+
+class TestBroadcast:
+    """Spread and fill agree with a cell-by-cell oracle, and only small masks outlive an evaluation."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_insert_matches_the_oracle(self, n):
+        rng = random.Random(n)
+        size = [n**k for k in range(6)]
+        for k in range(5):
+            for steps in _inserts(k, 5):
+                for table in (rng.getrandbits(size[k]), rng.getrandbits(size[k]), (1 << size[k]) - 1):
+                    expected = naive_broadcast(table, n, k, steps)
+                    assert semantics._broadcast(table, size[k], steps, size) == expected, (n, k, steps)
+
+    def test_sampled_inserts_at_16_vertices_match_the_oracle(self):
+        rng = random.Random(16)
+        size = [16**k for k in range(6)]
+        cases = [(k, steps) for k in range(4) for steps in _inserts(k, 4)]
+        for k, steps in [(3, (0,)), (2, (1, 3)), *rng.sample(cases, 4)]:
+            table = rng.getrandbits(size[k])
+            assert semantics._broadcast(table, size[k], steps, size) == naive_broadcast(table, 16, k, steps), (k, steps)
+
+    def test_the_mask_cache_stays_small_over_phi_from_6_to_16_vertices(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_MASKS", {})
+        phi = emit_phi()
+        for n in range(6, 17):
+            assert evaluate_sentence(all_loops(n), phi) == DigraphAnalysis(all_loops(n)).is_cantor()
+        cache = semantics._MASKS
+        assert cache and all(n * high * low <= semantics._SMALL_CELLS for n, high, low in cache)
+        bits = sum(mask.bit_length() for spread in cache.values() for mask, _ in spread)
+        assert bits <= 2**19  # 64 KB; a 5-axis mask at 16 vertices alone has 2^20 bits
 
 
 class TestLazyPlan:
